@@ -128,6 +128,10 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("dataset.size must be a positive multiple of 4")
     if not cfg["dataset.mask_lo"] <= cfg["dataset.mask_hi"]:
         raise UsageError("dataset.mask_lo must be <= dataset.mask_hi")
+    if cfg["nsd.phase_a"] == 0 and cfg["nsd.phase_b"] > 0:
+        # phase B freezes the zero-initialized output head, so on an
+        # untrained prior every phase-B gradient is exactly zero
+        raise UsageError("nsd.phase_b > 0 needs nsd.phase_a > 0")
 
 
 def subconfig(cfg: dict, prefix: str) -> dict:

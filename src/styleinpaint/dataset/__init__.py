@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from ..rng import derive
 from .io import DatasetSample, dataset_read, dataset_write, read_ppm, write_ppm
 from .scenes import (MaskSpec, PatchSet, SceneImage, VOCAB, caption_of,
@@ -12,14 +9,6 @@ from .scenes import (MaskSpec, PatchSet, SceneImage, VOCAB, caption_of,
                      place_disjoint, render_scene, valid_topleft)
 from .styles import (FAMILIES, StyleParams, palette_distance, sample_style,
                      style_from_id)
-
-
-def worker_count() -> int:
-    """Parallelism cap from S3IM_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("S3IM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def generate_dataset(seed: int, count: int, n_styles: int, size: int = 64,
@@ -42,8 +31,4 @@ def generate_dataset(seed: int, count: int, n_styles: int, size: int = 64,
         return DatasetSample(scene.pixels, mask.rect, scene.caption_tokens,
                              style.style_id, render_seed)
 
-    workers = worker_count()
-    if workers == 1:
-        return [build(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(build, range(count)))
+    return [build(i) for i in range(count)]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.scenes import MaskSpec
 from ..nn import Tensor, no_grad
 from ..psrl.model import PSRLModel, embed_style
 from ..reference import build_ref_input
@@ -49,16 +48,6 @@ def ddpm_posterior(x_t, x0_hat, abar_t: float, abar_s: float):
     return mean, var
 
 
-def _mask_spec(image: np.ndarray, mask: np.ndarray) -> MaskSpec:
-    rows, cols = np.nonzero(mask)
-    if len(rows) == 0:
-        rect = (0, 0, 0, 0)
-    else:
-        rect = (int(cols.min()), int(rows.min()),
-                int(cols.max() - cols.min() + 1), int(rows.max() - rows.min() + 1))
-    return MaskSpec(mask.astype(np.float32), image * (1.0 - mask[..., None]), rect)
-
-
 def sample_inpaint(task: InpaintTask, model: NSDModel, psrl: PSRLModel,
                    steps: int, seed: int, lam: float = 1.0, k: int = 4,
                    use_projector: bool = True, paste_background: bool = False) -> np.ndarray:
@@ -78,8 +67,8 @@ def sample_inpaint(task: InpaintTask, model: NSDModel, psrl: PSRLModel,
         sty = None
         if lam > 0:
             style_seed = int(derive(seed, "sample-style").integers(0, 2 ** 63))
-            sty = embed_style(psrl, task.image, _mask_spec(task.image, mask), k,
-                              style_seed, use_projector=use_projector)[None]
+            sty = embed_style(psrl, task.image, mask, k, style_seed,
+                              use_projector=use_projector)[None]
         with no_grad():
             bundle = ConditioningBundle(model.encoder(np.asarray(task.tokens)[None]),
                                         None if sty is None else Tensor(sty), lam)

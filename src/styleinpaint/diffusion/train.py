@@ -12,19 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..checkpoint import NSDM_MAGIC, load_checkpoint, save_checkpoint
+from ..checkpoint import NSDM_MAGIC, load_checkpoint
 from ..dataset.io import DatasetSample
 from ..dataset.scenes import mask_from_rect
-from ..errors import DataError, NumericsError
-from ..nn import AdamState, ParameterSet, Tensor, adam_step
+from ..errors import DataError
+from ..nn import AdamState, ParameterSet, Tensor
 from ..psrl.model import PSRLModel, embed_style
-from ..psrl.train import write_log
 from ..reference import ReferenceNet, build_ref_input
 from ..rng import derive
+from ..training import run_steps, save_training_checkpoint
 from .model import ConditioningBundle, Denoiser, SemanticEncoder
 from .schedule import build_schedule, forward_noise
 
 LOG_HEADER = "step,phase,loss"
+# config keys the checkpoint echoes, besides seed, step and opt_step
+ECHO_KEYS = ("T", "kind", "phase_a", "phase_b", "lr", "batch", "lam", "k",
+             "use_projector")
 
 
 class NSDModel:
@@ -105,7 +108,7 @@ def _style_token_batch(psrl: PSRLModel, batch_samples, k: int, seeds,
                        use_projector: bool) -> np.ndarray:
     toks = []
     for s, ss in zip(batch_samples, seeds):
-        mask = mask_from_rect(s.pixels, s.mask_rect)
+        mask = mask_from_rect(s.pixels, s.mask_rect).mask
         toks.append(embed_style(psrl, s.pixels, mask, k, ss,
                                 use_projector=use_projector))
     return np.stack(toks).astype(np.float32)
@@ -113,44 +116,25 @@ def _style_token_batch(psrl: PSRLModel, batch_samples, k: int, seeds,
 
 def train_nsd(samples: list[DatasetSample], psrl: PSRLModel, config: dict,
               seed: int, checkpoint_path=None, log_path=None, resume=None):
-    """Returns (model, log_rows). Writes checkpoint/log when paths given."""
+    """Returns (model, log_rows). `config` is a full `nsd` subconfig; on
+    resume the checkpoint's echo replaces it. Writes checkpoint/log when
+    paths are given."""
     if not samples:
         raise DataError("cannot train on an empty dataset")
-    T = int(config.get("T", 100))
-    kind = config.get("kind", "cosine")
-    phase_a = int(config.get("phase_a", 600))
-    phase_b = int(config.get("phase_b", 400))
-    lr = float(config.get("lr", 1e-4))
-    batch = int(config.get("batch", 4))
-    lam = float(config.get("lam", 1.0))
-    k = int(config.get("k", 4))
-    use_projector = bool(int(config.get("use_projector", 1)))
-
-    start_step = 0
-    log_rows: list[str] = []
+    resumed = None
     if resume is not None:
-        rcfg, tensors = load_checkpoint(resume, NSDM_MAGIC)
-        model = NSDModel(rcfg["seed"], T=rcfg["T"], kind=rcfg["kind"])
-        opt = AdamState(lr=rcfg["lr"], step=rcfg["opt_step"])
-        for name in model.params.paths():
-            model.params[name].data[...] = tensors[name]
-            opt.m[name] = tensors["opt.m." + name].copy()
-            opt.v[name] = tensors["opt.v." + name].copy()
-        start_step = int(rcfg["step"])
-        seed = int(rcfg["seed"])
-        T, kind = int(rcfg["T"]), rcfg["kind"]
-        phase_a, phase_b = int(rcfg["phase_a"]), int(rcfg["phase_b"])
-        lr, batch, lam = float(rcfg["lr"]), int(rcfg["batch"]), float(rcfg["lam"])
-        k = int(rcfg["k"])
-        use_projector = bool(rcfg["use_projector"])
-    else:
-        model = NSDModel(seed, T=T, kind=kind)
-        opt = AdamState(lr=lr)
+        config, resumed = load_checkpoint(resume, NSDM_MAGIC)
+        seed = config["seed"]
+    T, phase_a, batch, k = config["T"], config["phase_a"], config["batch"], config["k"]
+    lam = config["lam"]
+    use_projector = bool(config["use_projector"])
 
+    model = NSDModel(seed, T=T, kind=config["kind"])
     a_paths = model.phase_a_paths()
     b_paths = model.phase_b_paths()
     n = len(samples)
-    for step in range(start_step, phase_a + phase_b):
+
+    def step_fn(step: int):
         in_phase_a = step < phase_a
         model.params.set_trainable(a_paths if in_phase_a else b_paths)
         rng = derive(seed, "nsd-step", step)
@@ -172,28 +156,13 @@ def train_nsd(samples: list[DatasetSample], psrl: PSRLModel, config: dict,
             loss = training_loss(model.denoiser, model.encoder, images, tokens,
                                  model.schedule, lam=lam, style_tokens=sty,
                                  refnet=model.refnet, masks=masks, t=t, eps=eps)
-        if not np.isfinite(loss.data):
-            raise NumericsError(f"non-finite loss at step {step}")
-        loss.backward()
-        adam_step(model.params, opt)
-        log_rows.append(f"{step},{'A' if in_phase_a else 'B'},{loss.item():.6f}")
+        return loss, lambda: f"{step},{'A' if in_phase_a else 'B'},{loss.item():.6f}"
 
-    model.params.set_trainable(None)
-    if checkpoint_path is not None:
-        save_nsd_checkpoint(model, opt, config={
-            "seed": int(seed), "step": phase_a + phase_b, "T": T, "kind": kind,
-            "phase_a": phase_a, "phase_b": phase_b, "lr": lr, "batch": batch,
-            "lam": lam, "k": k, "use_projector": int(use_projector),
-        }, path=checkpoint_path)
-    if log_path is not None:
-        write_log(log_path, log_rows, LOG_HEADER)
-    return model, log_rows
+    rows = run_steps(model.params, config, seed, phase_a + config["phase_b"], step_fn,
+                     resumed, magic=NSDM_MAGIC, echo=ECHO_KEYS, header=LOG_HEADER,
+                     checkpoint_path=checkpoint_path, log_path=log_path)
+    return model, rows
 
 
 def save_nsd_checkpoint(model: NSDModel, opt: AdamState, config: dict, path) -> None:
-    config = dict(config, opt_step=opt.step)
-    tensors = {name: t.data for name, t in model.params.items()}
-    for name, _ in model.params.items():
-        tensors["opt.m." + name] = opt.m.get(name, np.zeros_like(model.params[name].data))
-        tensors["opt.v." + name] = opt.v.get(name, np.zeros_like(model.params[name].data))
-    save_checkpoint(path, NSDM_MAGIC, config, tensors)
+    save_training_checkpoint(path, NSDM_MAGIC, model.params, opt, config)

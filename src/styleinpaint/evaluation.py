@@ -171,15 +171,16 @@ def _foreign_index(samples: list[DatasetSample], i: int) -> int | None:
 
 def run_benchmark(model, psrl: PSRLModel, dataset: list[DatasetSample],
                   config: dict) -> EvalReport:
-    """Inpaint and score each task; per-task failures become report rows."""
+    """Inpaint and score each task; per-task failures become report rows.
+
+    `config` holds the `eval` keys count, k, steps, lam and paste_background,
+    plus the run's seed and `nsd.use_projector`, as the `eval` command
+    passes them."""
     samples = list(dataset)
-    count = min(int(config.get("count", 50)), len(samples))
-    k = int(config.get("k", 4))
-    steps = int(config.get("steps", 20))
-    lam = float(config.get("lam", 1.0))
-    seed = int(config.get("seed", 0))
-    use_projector = bool(int(config.get("use_projector", 1)))
-    paste = bool(int(config.get("paste_background", 0)))
+    count = min(config["count"], len(samples))
+    k, steps, lam, seed = config["k"], config["steps"], config["lam"], config["seed"]
+    use_projector = bool(config["use_projector"])
+    paste = bool(config["paste_background"])
 
     rows: list[TaskRecord] = []
     for i in range(count):

@@ -39,20 +39,10 @@ class ParameterSet:
     def items(self) -> list[tuple[str, Tensor]]:
         return [(p, self._params[p]) for p in self.paths()]
 
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
     def set_trainable(self, paths: set[str] | None) -> None:
         """Restrict grad tracking to the given paths (None = all trainable)."""
         for p, t in self._params.items():
             t.requires_grad = paths is None or p in paths
-
-    def trainable_paths(self) -> list[str]:
-        return [p for p in self.paths() if self._params[p].requires_grad]
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 @dataclass

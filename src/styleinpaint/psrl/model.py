@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checkpoint import PSRL_MAGIC, load_checkpoint
-from ..dataset.scenes import MaskSpec, crop_patches, window_counts
+from ..dataset.scenes import crop_patches, window_counts
 from ..nn import ParameterSet, Tensor, concat, no_grad, relu
 from ..nn import functional as F
 from ..rng import derive
@@ -151,10 +151,11 @@ def _least_masked_windows(allowed, shape, k: int, p: int) -> list[tuple[int, int
     return picked
 
 
-def embed_style(model: PSRLModel, pixels: np.ndarray, mask: MaskSpec | None,
+def embed_style(model: PSRLModel, pixels: np.ndarray, mask: np.ndarray | None,
                 k: int, rng_seed: int, use_projector: bool = True) -> np.ndarray:
     """k patch embeddings from the unmasked region plus their re-normalized
-    mean as token 0; deterministic per seed. Returns [k+1, d].
+    mean as token 0; deterministic per seed. Returns [k+1, d]. `mask` is
+    [H, W] with 1 marking the region to fill, or None.
 
     Prefers pairwise-disjoint, fully unmasked patches. When the mask is too
     tight for that, falls back to the least-masked windows of the background
@@ -167,13 +168,13 @@ def embed_style(model: PSRLModel, pixels: np.ndarray, mask: MaskSpec | None,
         raise ValueError(f"image {pix.shape[0]}x{pix.shape[1]} below the "
                          f"{p}-pixel patch size")
     allowed = None
-    if mask is not None and mask.mask.sum() > 0:
-        allowed = mask.mask == 0
+    if mask is not None and mask.sum() > 0:
+        allowed = mask == 0
     try:
         patches = crop_patches(pix, k, p, rng_seed, allowed=allowed).patches
     except ValueError:
         coords = _least_masked_windows(allowed, pix.shape[:2], k, p)
-        source = pix if mask is None else pix * (1.0 - mask.mask[..., None])
+        source = pix if mask is None else pix * (1.0 - mask[..., None])
         patches = np.stack([source[r:r + p, c:c + p] for r, c in coords])
         patches = patches.astype(np.float32)
     emb = model.embed_patches(patches, use_projector=use_projector)

@@ -16,17 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..checkpoint import PSRL_MAGIC, load_checkpoint, save_checkpoint
+from ..checkpoint import PSRL_MAGIC, load_checkpoint
 from ..dataset.io import DatasetSample
 from ..dataset.scenes import crop_patches
 from ..errors import DataError, NumericsError
-from ..nn import AdamState, adam_step, no_grad
+from ..nn import AdamState, no_grad
 from ..rng import derive
-from .losses import psrl_batch_loss, style_contrastive_loss
+from ..training import run_steps, save_training_checkpoint
+from .losses import psrl_batch_loss
 from .model import FEAT_DIM, PSRLModel
 
 LOG_HEADER = "step,stage,L_x,L_y,L_xy,total,pos_cos,neg_cos"
 MODES = ("progressive", "contrastive_only", "stats_only")
+# config keys the checkpoint echoes, besides seed, step and opt_step
+ECHO_KEYS = ("s1", "s2", "mode", "n", "p", "tau", "lr", "batch", "pairing",
+             "in_batch_negatives", "freeze_encoder_stage2")
 
 
 def _pair_indices(samples, batch: int, pairing: str, rng) -> list[tuple[int, int]]:
@@ -62,54 +66,29 @@ def _cosine_summary(pos_sets: list[np.ndarray], neg_a: np.ndarray, neg_b: np.nda
 
 def train_psrl(samples: list[DatasetSample], config: dict, seed: int,
                checkpoint_path=None, log_path=None, resume=None):
-    """Returns (model, log_rows). Writes checkpoint/log when paths given."""
-    styles = {s.style_id for s in samples}
-    if len(styles) < 2:
+    """Returns (model, log_rows). `config` is a full `psrl` subconfig; on
+    resume the checkpoint's echo replaces it, so the resumed trajectory is
+    the one the interrupted run would have taken. Writes checkpoint/log when
+    paths are given."""
+    if len({s.style_id for s in samples}) < 2:
         raise DataError("training needs at least 2 styles in the dataset")
-    mode = config.get("mode", "progressive")
+    resumed = None
+    if resume is not None:
+        config, resumed = load_checkpoint(resume, PSRL_MAGIC)
+        seed = config["seed"]
+    mode = config["mode"]
     if mode not in MODES:
         raise ValueError(f"unknown psrl mode '{mode}'")
-    n = int(config.get("n", 8))
-    p = int(config.get("p", 16))
-    tau = float(config.get("tau", 0.07))
-    s1 = int(config.get("s1", 2000))
-    s2 = int(config.get("s2", 2000))
-    lr = float(config.get("lr", 1e-4))
-    batch = int(config.get("batch", 8))
-    pairing = config.get("pairing", "distinct_style")
-    pooled = bool(int(config.get("in_batch_negatives", 0)))
-    freeze_enc = bool(int(config.get("freeze_encoder_stage2", 0)))
-    total_steps = s1 + s2
+    n, p, tau, s1 = config["n"], config["p"], config["tau"], config["s1"]
+    batch, pairing = config["batch"], config["pairing"]
+    pooled = bool(config["in_batch_negatives"])
+    freeze_enc = bool(config["freeze_encoder_stage2"])
 
-    start_step = 0
-    log_rows: list[str] = []
-    if resume is not None:
-        # every hyperparameter comes from the checkpoint echo so the resumed
-        # trajectory is the one the interrupted run would have taken
-        rcfg, tensors = load_checkpoint(resume, PSRL_MAGIC)
-        model = PSRLModel(rcfg["seed"], patch_size=rcfg["p"])
-        opt = AdamState(lr=rcfg["lr"], step=rcfg["opt_step"])
-        for name in model.params.paths():
-            model.params[name].data[...] = tensors[name]
-            opt.m[name] = tensors["opt.m." + name].copy()
-            opt.v[name] = tensors["opt.v." + name].copy()
-        start_step = int(rcfg["step"])
-        seed = int(rcfg["seed"])
-        mode = rcfg["mode"]
-        s1, s2 = int(rcfg["s1"]), int(rcfg["s2"])
-        n, p, tau, lr = int(rcfg["n"]), int(rcfg["p"]), float(rcfg["tau"]), float(rcfg["lr"])
-        batch, pairing = int(rcfg["batch"]), rcfg["pairing"]
-        pooled = bool(rcfg["in_batch_negatives"])
-        freeze_enc = bool(rcfg["freeze_encoder_stage2"])
-        total_steps = s1 + s2
-    else:
-        model = PSRLModel(seed, patch_size=p)
-        opt = AdamState(lr=lr)
-
+    model = PSRLModel(seed, patch_size=p)
     enc_paths = model.encoder_paths()
     proj_paths = model.projector_paths()
 
-    for step in range(start_step, total_steps):
+    def step_fn(step: int):
         if mode == "progressive":
             stage = 1 if step < s1 else 2
         elif mode == "stats_only":
@@ -132,60 +111,31 @@ def train_psrl(samples: list[DatasetSample], config: dict, seed: int,
             sy = int(rng.integers(0, 2 ** 63))
             xs.append(crop_patches(samples[i].pixels, n, p, sx).patches)
             ys.append(crop_patches(samples[j].pixels, n, p, sy).patches)
-        x_patches = np.stack(xs)
-        y_patches = np.stack(ys)
-
-        out = psrl_batch_loss(model, x_patches, y_patches, tau, stage, pooled)
+        out = psrl_batch_loss(model, np.stack(xs), np.stack(ys), tau, stage, pooled)
         loss = out.l_xy if mode == "contrastive_only" else out.total
-        if not np.isfinite(loss.data):
-            raise NumericsError(f"non-finite loss at step {step}")
-        # z rows are [mu; sigma] scaled to unit norm, so their mu halves are
-        # all zero exactly when every final-block ReLU output is zero
-        if not (out.zx.data[..., :FEAT_DIM].any()
-                or out.zy.data[..., :FEAT_DIM].any()):
-            raise NumericsError(f"style encoder collapsed at step {step}: every "
-                                "final-block activation is zero")
-        loss.backward()
-        adam_step(model.params, opt)
 
-        if stage == 1:
-            pos_cos, neg_cos = _cosine_summary([out.zx.data, out.zy.data],
-                                               out.zx.data, out.zy.data)
-        else:
-            pos_cos, neg_cos = _cosine_summary([out.ex.data, out.ey.data],
-                                               out.ex.data, out.ey.data)
-        log_rows.append(f"{step},{stage},{out.l_x.item():.6f},{out.l_y.item():.6f},"
-                        f"{out.l_xy.item():.6f},{loss.item():.6f},"
-                        f"{pos_cos:.6f},{neg_cos:.6f}")
+        def row() -> str:
+            # z rows are [mu; sigma] scaled to unit norm, so their mu halves
+            # are all zero exactly when every final-block ReLU output is zero
+            if not (out.zx.data[..., :FEAT_DIM].any()
+                    or out.zy.data[..., :FEAT_DIM].any()):
+                raise NumericsError(f"style encoder collapsed at step {step}: every "
+                                    "final-block activation is zero")
+            a, b = (out.zx, out.zy) if stage == 1 else (out.ex, out.ey)
+            pos_cos, neg_cos = _cosine_summary([a.data, b.data], a.data, b.data)
+            return (f"{step},{stage},{out.l_x.item():.6f},{out.l_y.item():.6f},"
+                    f"{out.l_xy.item():.6f},{loss.item():.6f},"
+                    f"{pos_cos:.6f},{neg_cos:.6f}")
+        return loss, row
 
-    model.params.set_trainable(None)
-    if checkpoint_path is not None:
-        save_psrl_checkpoint(model, opt, config={
-            "seed": int(seed), "step": total_steps, "s1": s1, "s2": s2,
-            "mode": mode, "n": n, "p": p, "tau": tau, "lr": lr,
-            "batch": batch, "pairing": pairing,
-            "in_batch_negatives": int(pooled),
-            "freeze_encoder_stage2": int(freeze_enc),
-        }, path=checkpoint_path)
-    if log_path is not None:
-        write_log(log_path, log_rows, LOG_HEADER)
-    return model, log_rows
+    rows = run_steps(model.params, config, seed, s1 + config["s2"], step_fn, resumed,
+                     magic=PSRL_MAGIC, echo=ECHO_KEYS, header=LOG_HEADER,
+                     checkpoint_path=checkpoint_path, log_path=log_path)
+    return model, rows
 
 
 def save_psrl_checkpoint(model: PSRLModel, opt: AdamState, config: dict, path) -> None:
-    config = dict(config, opt_step=opt.step)
-    tensors = {name: t.data for name, t in model.params.items()}
-    for name, _ in model.params.items():
-        tensors["opt.m." + name] = opt.m.get(name, np.zeros_like(model.params[name].data))
-        tensors["opt.v." + name] = opt.v.get(name, np.zeros_like(model.params[name].data))
-    save_checkpoint(path, PSRL_MAGIC, config, tensors)
-
-
-def write_log(path, rows: list[str], header: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+    save_training_checkpoint(path, PSRL_MAGIC, model.params, opt, config)
 
 
 def held_out_margin(model: PSRLModel, samples: list[DatasetSample], n: int, p: int,

@@ -1,4 +1,4 @@
-"""Reference network and zero-initialized feature injection.
+"""Reference network and the zero-initialized connectors that inject it.
 
 The reference net is a cross-attention-free mirror of the denoiser that reads
 a 7-channel stack (noisy image, masked clean image, mask) and produces one
@@ -41,7 +41,11 @@ class ReferenceNet:
                            for name in BLOCKS]
 
     def features(self, ref_input, t) -> list[Tensor]:
-        return extract_reference_features(self, ref_input, t)
+        """One feature map per injection site, in denoiser block order."""
+        x = ref_input if isinstance(ref_input, Tensor) \
+            else Tensor(np.asarray(ref_input, np.float32))
+        feats = self.net.backbone(x, self.net._check_t(t), None, None)
+        return [feats[name] for name in BLOCKS]
 
     def connected_features(self, ref_input, t) -> list[Tensor]:
         """Connector outputs ready to add inside the denoiser blocks."""
@@ -72,21 +76,3 @@ def build_ref_input(x_t: np.ndarray, x_mask: np.ndarray, x_m: np.ndarray) -> np.
         raise ValueError(f"reference input shapes disagree: x_t {x_t.shape}, "
                          f"x_mask {x_mask.shape}, x_m {x_m.shape}")
     return np.concatenate([x_t, x_mask, x_m], axis=1)
-
-
-def extract_reference_features(refnet: ReferenceNet, ref_input, t) -> list[Tensor]:
-    """One feature map per injection site, in denoiser block order."""
-    x = ref_input if isinstance(ref_input, Tensor) else Tensor(np.asarray(ref_input, np.float32))
-    net = refnet.net
-    feats = net.backbone(x, net._check_t(t), None, None)
-    return [feats[name] for name in BLOCKS]
-
-
-def inject(denoiser_features: Tensor, reference_features: Tensor,
-           connector: ZeroConnector) -> Tensor:
-    """Add the connector's view of the reference features onto the block."""
-    addend = connector(reference_features)
-    if addend.shape != denoiser_features.shape:
-        raise ValueError(f"injected features {addend.shape} do not match "
-                         f"block features {denoiser_features.shape}")
-    return denoiser_features + addend

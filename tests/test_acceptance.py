@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import oracles
+from configs import full_config
 from styleinpaint import nn
 from styleinpaint.cli import run as cli_run
 from styleinpaint.dataset import generate_dataset
@@ -295,8 +296,8 @@ def test_criterion_06_progressive_ablation():
     consistency = {}   # (mode, seed) -> held-out intra-style mean cosine
     for mode, s1 in arms:
         for seed in range(5):
-            cfg = {"mode": mode, "n": 8, "p": 16, "tau": 0.07,
-                   "s1": s1, "s2": budget - s1, "lr": 1e-4, "batch": 8}
+            cfg = full_config("psrl", mode=mode, n=8, p=16, tau=0.07,
+                              s1=s1, s2=budget - s1, lr=1e-4, batch=8)
             model, rows = train_psrl(train, cfg, seed=seed)
             last = rows[-1].split(",")
             final_margin[mode, seed] = float(last[6]) - float(last[7])

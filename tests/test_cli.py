@@ -34,6 +34,15 @@ class TestConfig:
         with pytest.raises(UsageError, match="multiple of 4"):
             build_config({"dataset.size": "30"})
 
+    def test_phase_b_needs_phase_a(self, capsys):
+        # phase B alone would train nothing: the zero-initialized output head
+        # is frozen, so every gradient is zero
+        with pytest.raises(UsageError, match="nsd.phase_a > 0"):
+            build_config({"nsd.phase_a": "0", "nsd.phase_b": "1"})
+        assert build_config({"nsd.phase_a": "0", "nsd.phase_b": "0"})["nsd.phase_b"] == 0
+        assert run(["train-nsd", "--set", "nsd.phase_a=0"]) == 1
+        assert "nsd.phase_a > 0" in capsys.readouterr().err
+
     def test_file_parsing_and_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import styleinpaint.diffusion.train as nsd_train
+from configs import full_config
 from oracles import attention_loops, forward_noise_loops
 from styleinpaint.dataset import generate_dataset
 from styleinpaint.diffusion import (ConditioningBundle, Denoiser, InpaintTask,
@@ -315,7 +316,7 @@ def _fast_psrl(seed=5):
 class TestTrainNsd:
     def test_smoke_phases_and_log(self, tmp_path):
         samples = _smoke_dataset()
-        cfg = {"T": 20, "phase_a": 3, "phase_b": 3, "batch": 2, "k": 2}
+        cfg = full_config("nsd", T=20, phase_a=3, phase_b=3, batch=2, k=2)
         model, rows = train_nsd(samples, _fast_psrl(), cfg, seed=9,
                                 checkpoint_path=tmp_path / "nsd.bin",
                                 log_path=tmp_path / "nsd.csv")
@@ -330,14 +331,14 @@ class TestTrainNsd:
 
     def test_loss_decreases_phase_a(self):
         samples = _smoke_dataset(size=32, count=12, seed=22)
-        cfg = {"T": 50, "phase_a": 60, "phase_b": 0, "batch": 4}
+        cfg = full_config("nsd", T=50, phase_a=60, phase_b=0, batch=4)
         _, rows = train_nsd(samples, None, cfg, seed=13)
         losses = [float(r.split(",")[2]) for r in rows]
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
     def test_phase_b_freezes_prior(self, tmp_path):
         samples = _smoke_dataset()
-        cfg = {"T": 20, "phase_a": 2, "phase_b": 0, "batch": 1, "k": 2}
+        cfg = full_config("nsd", T=20, phase_a=2, phase_b=0, batch=1, k=2)
         model_a, _ = train_nsd(samples, _fast_psrl(), cfg, seed=17,
                                checkpoint_path=tmp_path / "a.bin")
         cfg_b = dict(cfg, phase_b=2)
@@ -354,7 +355,7 @@ class TestTrainNsd:
 
     def test_resume_is_bit_exact(self, tmp_path):
         samples = _smoke_dataset(count=6)
-        cfg = {"T": 20, "phase_a": 2, "phase_b": 2, "batch": 1, "k": 2}
+        cfg = full_config("nsd", T=20, phase_a=2, phase_b=2, batch=1, k=2)
         full, _ = train_nsd(samples, _fast_psrl(), cfg, seed=23)
         half_cfg = dict(cfg, phase_a=2, phase_b=1)
         ckpt = tmp_path / "half.bin"
@@ -377,8 +378,8 @@ class TestTrainNsd:
 
         monkeypatch.setattr(nsd_train, "training_loss", poisoned)
         with pytest.raises(NumericsError, match="non-finite loss at step 0"):
-            train_nsd(samples, None, {"T": 20, "phase_a": 2, "phase_b": 0, "batch": 1},
-                      seed=3)
+            train_nsd(samples, None,
+                      full_config("nsd", T=20, phase_a=2, phase_b=0, batch=1), seed=3)
 
     def test_empty_dataset_rejected(self):
         from styleinpaint.errors import DataError
@@ -387,7 +388,7 @@ class TestTrainNsd:
 
     def test_checkpoint_round_trip(self, tmp_path):
         samples = _smoke_dataset(size=32, count=4, seed=25)
-        cfg = {"T": 20, "phase_a": 2, "phase_b": 0, "batch": 1}
+        cfg = full_config("nsd", T=20, phase_a=2, phase_b=0, batch=1)
         model, _ = train_nsd(samples, None, cfg, seed=31,
                              checkpoint_path=tmp_path / "m.bin")
         loaded, rcfg = NSDModel.from_checkpoint(tmp_path / "m.bin")

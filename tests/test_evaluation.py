@@ -17,6 +17,7 @@ from styleinpaint.evaluation import (REPORT_HEADER, clustering_stats,
 from styleinpaint.psrl.model import PSRLModel
 from styleinpaint.psrl.train import train_psrl
 
+from configs import eval_config, full_config
 from oracles import pca_loops, psnr_loops, silhouette_loops
 
 
@@ -77,8 +78,8 @@ class TestStyleCosine:
             style_cosine_consistency(img, mask, encoder, k=2, seed=0)
 
     def test_foreign_fill_scores_below_verbatim(self, scene_samples):
-        model, _ = train_psrl(scene_samples, {"s1": 60, "s2": 60, "batch": 4,
-                                              "n": 4}, seed=2)
+        model, _ = train_psrl(scene_samples,
+                              full_config("psrl", s1=60, s2=60, batch=4, n=4), seed=2)
         s = scene_samples[0]
         foreign = scene_samples[1]  # next style in the cycle
         assert foreign.style_id != s.style_id
@@ -254,7 +255,7 @@ def bench_setup(scene_samples):
 
 
 class TestRunBenchmark:
-    CFG = {"count": 2, "k": 2, "steps": 2, "seed": 4}
+    CFG = eval_config(seed=4, count=2, k=2, steps=2)
 
     def test_empty_task_list(self, bench_setup, tmp_path):
         model, psrl, _ = bench_setup
@@ -289,7 +290,7 @@ class TestRunBenchmark:
         tiny = DatasetSample(samples[0].pixels, (2, 2, 8, 8),
                              samples[0].tokens, samples[0].style_id, 0)
         report = run_benchmark(model, psrl, [tiny] + samples[:2],
-                               {"count": 3, "k": 2, "steps": 2, "seed": 4})
+                               dict(self.CFG, count=3))
         assert len(report.rows) == 3
         assert report.rows[0].status != "ok"
         assert report.rows[0].psnr_db is None

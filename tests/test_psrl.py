@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from configs import full_config
 from styleinpaint.dataset import generate_dataset, mask_from_rect
 from styleinpaint.errors import DataError
 from styleinpaint.nn import Tensor, gradcheck, no_grad
@@ -309,7 +310,7 @@ class TestTraining:
 
     def test_smoke_run_finite_and_logged(self):
         samples = self._data()
-        cfg = {"s1": 4, "s2": 4, "batch": 2, "n": 4}
+        cfg = full_config("psrl", s1=4, s2=4, batch=2, n=4)
         model, rows = train_psrl(samples, cfg, seed=1)
         assert len(rows) == 8
         stages = [int(r.split(",")[1]) for r in rows]
@@ -321,25 +322,25 @@ class TestTraining:
     def test_modes_stage_tags(self):
         samples = self._data()
         for mode, tag in (("contrastive_only", 2), ("stats_only", 1)):
-            _, rows = train_psrl(samples, {"s1": 2, "s2": 2, "batch": 1, "n": 4,
-                                           "mode": mode}, seed=2)
+            _, rows = train_psrl(samples, full_config("psrl", s1=2, s2=2, batch=1,
+                                                      n=4, mode=mode), seed=2)
             assert all(int(r.split(",")[1]) == tag for r in rows)
 
     def test_single_style_dataset_rejected(self):
         samples = generate_dataset(seed=12, count=4, n_styles=1)
         with pytest.raises(DataError, match="at least 2 styles"):
-            train_psrl(samples, {"s1": 1, "s2": 0}, seed=0)
+            train_psrl(samples, full_config("psrl", s1=1, s2=0), seed=0)
 
     def test_resume_bit_exact(self, tmp_path):
         from styleinpaint.checkpoint import PSRL_MAGIC, load_checkpoint, save_checkpoint
 
         samples = self._data()
-        full, _ = train_psrl(samples, {"s1": 3, "s2": 3, "batch": 2, "n": 4}, seed=3)
+        full, _ = train_psrl(samples, full_config("psrl", s1=3, s2=3, batch=2, n=4), seed=3)
 
         # interrupt emulation: train the first 3 steps, checkpoint, then
         # rewrite the schedule echo to the full 3+3 plan and resume from it
         ck = tmp_path / "half.ckpt"
-        train_psrl(samples, {"s1": 3, "s2": 0, "batch": 2, "n": 4}, seed=3,
+        train_psrl(samples, full_config("psrl", s1=3, s2=0, batch=2, n=4), seed=3,
                    checkpoint_path=ck)
         cfg, tensors = load_checkpoint(ck, PSRL_MAGIC)
         cfg.update(step=3, s1=3, s2=3)
@@ -353,7 +354,7 @@ class TestTraining:
     def test_checkpoint_round_trip(self, tmp_path):
         samples = self._data()
         ck = tmp_path / "m.ckpt"
-        model, _ = train_psrl(samples, {"s1": 2, "s2": 2, "batch": 1, "n": 4},
+        model, _ = train_psrl(samples, full_config("psrl", s1=2, s2=2, batch=1, n=4),
                               seed=4, checkpoint_path=ck)
         loaded, cfg = PSRLModel.from_checkpoint(ck)
         assert cfg["step"] == 4
@@ -371,7 +372,7 @@ class TestTraining:
 
         monkeypatch.setattr(train_mod, "psrl_batch_loss", poisoned_loss)
         with pytest.raises(NumericsError, match="step 0"):
-            train_psrl(self._data(), {"s1": 2, "s2": 0, "batch": 2, "n": 4}, seed=5)
+            train_psrl(self._data(), full_config("psrl", s1=2, s2=0, batch=2, n=4), seed=5)
 
     def test_collapse_guard(self, monkeypatch):
         import styleinpaint.psrl.train as train_mod
@@ -385,15 +386,15 @@ class TestTraining:
 
         monkeypatch.setattr(train_mod, "PSRLModel", DeadEncoder)
         with pytest.raises(NumericsError, match="collapsed at step 0"):
-            train_psrl(self._data(), {"s1": 2, "s2": 0, "batch": 2, "n": 4}, seed=5)
+            train_psrl(self._data(), full_config("psrl", s1=2, s2=0, batch=2, n=4), seed=5)
 
     def test_stats_only_stays_non_degenerate(self):
         # 300 stats_only steps at the recipe lr. Measured over seeds 0-4, the
         # scale-invariant stage 1 ends with 27-36% of final-block channels
         # dead on the held-out images and L_x >= 0.05, while a stage 1 that a
         # dead encoder minimizes ends with 89-95% dead and L_x ~ 0.
-        model, rows = train_psrl(self._data(), {"mode": "stats_only", "s1": 300,
-                                               "s2": 0, "batch": 4, "n": 4}, seed=0)
+        model, rows = train_psrl(self._data(), full_config(
+            "psrl", mode="stats_only", s1=300, s2=0, batch=4, n=4), seed=0)
         assert float(rows[-1].split(",")[2]) > 0.0
         held = generate_dataset(seed=23, count=6, n_styles=3)
         with no_grad():
@@ -422,15 +423,14 @@ class TestEmbedStyle:
 
     def test_empty_mask_equals_no_mask(self):
         model, sample = self._model_and_scene()
-        empty = mask_from_rect(sample.pixels, (1, 1, 1, 1))
-        empty.mask[...] = 0.0
+        empty = np.zeros(sample.pixels.shape[:2], np.float32)
         a = embed_style(model, sample.pixels, None, k=3, rng_seed=1)
         b = embed_style(model, sample.pixels, empty, k=3, rng_seed=1)
         np.testing.assert_array_equal(a, b)
 
     def test_mask_restricts_placement(self):
         model, sample = self._model_and_scene()
-        mask = mask_from_rect(sample.pixels, (0, 0, 64, 40))  # only rows 40+ free
+        mask = mask_from_rect(sample.pixels, (0, 0, 64, 40)).mask  # only rows 40+ free
         toks = embed_style(model, sample.pixels, mask, k=2, rng_seed=2)
         assert toks.shape == (3, 64)
         # cross-check determinism of the restricted draw
@@ -439,7 +439,7 @@ class TestEmbedStyle:
 
     def test_tight_mask_falls_back_to_context_windows(self):
         model, sample = self._model_and_scene()
-        mask = mask_from_rect(sample.pixels, (0, 0, 64, 56))  # 8 free rows < patch
+        mask = mask_from_rect(sample.pixels, (0, 0, 64, 56)).mask  # 8 free rows < patch
         toks = embed_style(model, sample.pixels, mask, k=2, rng_seed=0)
         assert toks.shape == (3, 64)
         np.testing.assert_allclose(np.linalg.norm(toks, axis=1), 1.0, atol=1e-5)
@@ -458,7 +458,7 @@ class TestEmbedStyle:
 
     def test_margin_positive_after_short_training(self):
         samples = generate_dataset(seed=22, count=8, n_styles=4)
-        model, _ = train_psrl(samples, {"s1": 30, "s2": 30, "batch": 2, "n": 4}, seed=6)
+        model, _ = train_psrl(samples, full_config("psrl", s1=30, s2=30, batch=2, n=4), seed=6)
         held = generate_dataset(seed=23, count=6, n_styles=3)
         intra, inter, _, _ = held_out_margin(model, held, n=4, p=16, seed=0)
         assert intra > inter  # full-strength margin is covered by acceptance

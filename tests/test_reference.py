@@ -5,13 +5,16 @@ import pytest
 
 from styleinpaint.diffusion import BLOCKS, ConditioningBundle, NSDModel
 from styleinpaint.nn import ParameterSet, Tensor
-from styleinpaint.reference import (ReferenceNet, ZeroConnector, build_ref_input,
-                                    extract_reference_features, inject)
-from styleinpaint.rng import derive
+from styleinpaint.reference import ZeroConnector, build_ref_input
 
 
 def _model(seed=2, T=20):
     return NSDModel(seed, T=T)
+
+
+# per-block feature shapes for a [1, 3, 16, 16] input, in BLOCKS order
+SITE_SHAPES = [(1, 128, 8, 8), (1, 128, 4, 4), (1, 128, 4, 4), (1, 128, 4, 4),
+               (1, 64, 8, 8)]
 
 
 def _randomize(model, rng, prefixes=("den/", "sem/")):
@@ -19,6 +22,16 @@ def _randomize(model, rng, prefixes=("den/", "sem/")):
         if path.startswith(prefixes):
             t = model.params[path]
             t.data[...] = (rng.standard_normal(t.data.shape) * 0.05).astype(t.data.dtype)
+
+
+def _live_denoiser(seed):
+    """A model with a random prior and fresh connectors, a [1,3,16,16]
+    input and a semantic-only bundle."""
+    m = _model()
+    rng = np.random.default_rng(seed)
+    _randomize(m, rng)
+    x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
+    return m, x, ConditioningBundle(m.encoder(np.array([[0, 3, 7]])), None, 0.0)
 
 
 class TestBuildRefInput:
@@ -62,7 +75,7 @@ class TestReferenceNet:
     def test_site_count_and_resolutions(self):
         m = _model()
         x = np.random.default_rng(2).standard_normal((2, 7, 32, 32)).astype(np.float32)
-        feats = extract_reference_features(m.refnet, x, 5)
+        feats = m.refnet.features(x, 5)
         assert len(feats) == len(BLOCKS) == 5
         shapes = [f.shape for f in feats]
         assert shapes == [(2, 128, 16, 16), (2, 128, 8, 8), (2, 128, 8, 8),
@@ -72,8 +85,8 @@ class TestReferenceNet:
         m = _model()
         x = np.random.default_rng(3).standard_normal((1, 7, 16, 16)).astype(np.float32)
         for t in (0, m.schedule.T - 1):
-            a = extract_reference_features(m.refnet, x, t)
-            b = extract_reference_features(m.refnet, x, t)
+            a = m.refnet.features(x, t)
+            b = m.refnet.features(x, t)
             for fa, fb in zip(a, b):
                 assert np.isfinite(fa.data).all()
                 np.testing.assert_array_equal(fa.data, fb.data)
@@ -99,21 +112,24 @@ class TestZeroConnector:
         np.testing.assert_array_equal(con(feat).data, 0.0)
 
     def test_inject_identity_at_init(self):
-        params = ParameterSet()
-        con = ZeroConnector(params, "con/test", 4)
-        h = Tensor(np.random.default_rng(5).standard_normal((1, 4, 6, 6)).astype(np.float32))
-        r = Tensor(np.random.default_rng(6).standard_normal((1, 4, 6, 6)).astype(np.float32))
-        np.testing.assert_array_equal(inject(h, r, con).data, h.data)
+        # arbitrary reference features through fresh connectors leave the
+        # denoiser's prediction bit-identical
+        m, x, bundle = _live_denoiser(5)
+        rng = np.random.default_rng(6)
+        refs = [con(Tensor(rng.standard_normal(shape).astype(np.float32)))
+                for con, shape in zip(m.refnet.connectors, SITE_SHAPES)]
+        np.testing.assert_array_equal(m.denoiser.predict_noise(x, 3, bundle, refs).data,
+                                      m.denoiser.predict_noise(x, 3, bundle).data)
 
     def test_identity_connector_ignores_zero_reference(self):
-        params = ParameterSet()
-        con = ZeroConnector(params, "con/test", 4)
-        eye = np.zeros((4, 4, 1, 1), np.float32)
-        eye[np.arange(4), np.arange(4), 0, 0] = 1.0
-        con.w.data[...] = eye
-        h = Tensor(np.random.default_rng(7).standard_normal((1, 4, 6, 6)).astype(np.float32))
-        np.testing.assert_array_equal(inject(h, Tensor(np.zeros((1, 4, 6, 6), np.float32)), con).data,
-                                      h.data)
+        m, x, bundle = _live_denoiser(7)
+        refs = []
+        for con, shape in zip(m.refnet.connectors, SITE_SHAPES):
+            c = shape[1]
+            con.w.data[np.arange(c), np.arange(c), 0, 0] = 1.0
+            refs.append(con(Tensor(np.zeros(shape, np.float32))))
+        np.testing.assert_array_equal(m.denoiser.predict_noise(x, 3, bundle, refs).data,
+                                      m.denoiser.predict_noise(x, 3, bundle).data)
 
     def test_gradient_reaches_connector(self):
         m = _model()
@@ -124,12 +140,11 @@ class TestZeroConnector:
         assert g is not None and np.abs(g).max() > 0
 
     def test_inject_shape_mismatch(self):
-        params = ParameterSet()
-        con = ZeroConnector(params, "con/test", 4)
-        h = Tensor(np.zeros((1, 4, 6, 6), np.float32))
-        r = Tensor(np.zeros((1, 4, 3, 3), np.float32))
+        m, x, bundle = _live_denoiser(11)
+        refs = [Tensor(np.zeros(shape, np.float32)) for shape in SITE_SHAPES]
+        refs[2] = Tensor(np.zeros((1, 128, 2, 2), np.float32))
         with pytest.raises(ValueError, match="do not match"):
-            inject(h, r, con)
+            m.denoiser.predict_noise(x, 3, bundle, refs)
 
 
 class TestZeroInitIdentity:
