@@ -1,10 +1,9 @@
 """Layer-level operations: convolution, linear, attention, feature stats.
 
-conv2d is the hot path. It lowers the padded input to im2col columns with
-``sliding_window_view`` so the whole convolution is a single GEMM; the
-backward pass rebuilds the columns from the saved padded input (cheaper than
-holding them) and scatters dX back through nine strided adds, one per kernel
-tap.
+conv2d is the hot path. It lowers the padded input to channel-major im2col
+columns, one GEMM per pass; see conv2d for the layout. The backward pass
+rebuilds the columns from the saved padded input (cheaper than holding them)
+for dW and scatters dX back through one add per kernel tap.
 """
 
 from __future__ import annotations
@@ -17,7 +16,23 @@ from .tensor import Tensor, _accum, _node
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 1, pad_mode: str = "zeros") -> Tensor:
-    """2-D convolution (cross-correlation) of [B,Cin,H,W] with [Cout,Cin,k,k]."""
+    """2-D convolution (cross-correlation) of [B,Cin,H,W] with [Cout,Cin,k,k].
+
+    The columns are laid out channel-major, [Cin*kh*kw, B*Ho*Wo]: row
+    (c, i, j) holds tap (i, j) of channel c at every output pixel. Building
+    them copies one output row of Wo pixels at a time, read contiguously from
+    the input at stride 1, where a row-major [B*Ho*Wo, Cin*kh*kw] im2col
+    copies runs of kw pixels that lie H*W apart.
+    The forward pass is wmat @ cols. The backward pass reuses the layout:
+    dW = g @ cols^T on rebuilt columns, and dX = wmat^T @ g, whose
+    [Cin, B, Ho, Wo] slab per tap is added back into the padded input.
+
+    Every output element is the same dot product as with the row-major
+    layout, summed over K in the same order, so
+    OpenBLAS's blocked GEMM gives bit-identical results. Products small
+    enough for its small-matrix kernels (about 1e6 multiply-adds or fewer)
+    may differ from the row-major layout in the last bit.
+    """
     xp = T.pad2d(x, padding, pad_mode) if padding > 0 else x
     B, Cin, Hp, Wp = xp.data.shape
     Cout, Cin_w, kh, kw = w.data.shape
@@ -29,12 +44,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     def im2col(xd: np.ndarray) -> np.ndarray:
         win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]  # [B, Cin, Ho, Wo, kh, kw]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Cin * kh * kw)
-        return np.ascontiguousarray(cols)
+        return win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * kh * kw, B * Ho * Wo)
 
-    cols = im2col(xp.data)
     wmat = w.data.reshape(Cout, Cin * kh * kw)
-    out_data = (cols @ wmat.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
+    out_data = (wmat @ im2col(xp.data)).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
     if b is not None:
         out_data = out_data + b.data.reshape(1, Cout, 1, 1)
     out_data = np.ascontiguousarray(out_data)
@@ -43,18 +56,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     parents = (xp, w) if b is None else (xp, w, b)
 
     def backward(g):
-        gm = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
+        gm = g.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
         if w.requires_grad:
-            _accum(w, (gm.T @ im2col(xp_data)).reshape(w.data.shape))
+            _accum(w, (gm @ im2col(xp_data).T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if xp.requires_grad:
-            gcols = (gm @ wmat).reshape(B, Ho, Wo, Cin, kh, kw)
+            gcols = (wmat.T @ gm).reshape(Cin, kh, kw, B, Ho, Wo)
             gx = np.zeros_like(xp_data)
             for i in range(kh):
                 for j in range(kw):
                     gx[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += \
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                        gcols[:, i, j].transpose(1, 0, 2, 3)
             _accum(xp, gx)
 
     return _node(out_data, parents, backward)

@@ -14,6 +14,27 @@ def randn64(rng, *shape):
     return Tensor(rng.standard_normal(shape))
 
 
+# conv2d shapes that tell B from Cin and Ho from Wo: a swapped axis in the
+# column layout or its reshapes gives wrong values on at least one of them.
+# Fields: B, Cin, Cout, H, W, kernel, stride, padding, pad_mode.
+CONV_LAYOUTS = {
+    "non_square": (2, 2, 3, 7, 10, 3, 1, 1, "zeros"),
+    "non_square_edge": (1, 3, 2, 10, 7, 3, 1, 1, "edge"),
+    "stride2_odd": (2, 3, 2, 7, 9, 3, 2, 1, "zeros"),
+    "stride2_odd_edge": (1, 2, 3, 9, 7, 3, 2, 1, "edge"),
+    "one_by_one_unpadded": (2, 4, 3, 5, 6, 1, 1, 0, "zeros"),
+    "batch3_cin_ne_cout": (3, 2, 5, 6, 5, 3, 1, 1, "edge"),
+}
+
+
+def conv_case(rng, name):
+    B, Cin, Cout, H, W, k, stride, padding, pad_mode = CONV_LAYOUTS[name]
+    x = rng.standard_normal((B, Cin, H, W))
+    w = rng.standard_normal((Cout, Cin, k, k))
+    b = rng.standard_normal(Cout)
+    return x, w, b, dict(stride=stride, padding=padding, pad_mode=pad_mode)
+
+
 class TestForwardVsOracle:
     def test_conv2d_matches_loops(self):
         rng = np.random.default_rng(1)
@@ -30,6 +51,14 @@ class TestForwardVsOracle:
         w = rng.standard_normal((3, 2, 3, 3))
         got = F.conv2d(Tensor(x), Tensor(w), None, stride=2, padding=1, pad_mode="edge").data
         want = oracles.conv2d_loops(x, w, None, stride=2, padding=1, pad_mode="edge")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CONV_LAYOUTS))
+    def test_conv2d_layouts_match_loops(self, name):
+        x, w, b, opts = conv_case(np.random.default_rng(7), name)
+        got = F.conv2d(Tensor(x), Tensor(w), Tensor(b), **opts).data
+        want = oracles.conv2d_loops(x, w, b, **opts)
+        assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_linear_matches_loops(self):
@@ -235,6 +264,19 @@ class TestGradients:
             return (F.conv2d(x, w, None, stride=2, padding=1, pad_mode="edge") ** 2).sum()
 
         gradcheck(f, [x, w], tol=1e-5)
+
+    @pytest.mark.parametrize("name", sorted(CONV_LAYOUTS))
+    def test_conv2d_layout_grads(self, name):
+        rng = np.random.default_rng(24)
+        xd, wd, bd, opts = conv_case(rng, name)
+        x, w, b = Tensor(xd), Tensor(wd), Tensor(bd)
+        tgt = rng.standard_normal(oracles.conv2d_loops(xd, wd, bd, **opts).shape)
+
+        def f():
+            d = F.conv2d(x, w, b, **opts) - tgt
+            return (d * d).mean()
+
+        gradcheck(f, [x, w, b], tol=1e-5)
 
     def test_attention_grads(self):
         rng = np.random.default_rng(23)
