@@ -133,12 +133,15 @@ def validate_config(cfg: dict) -> None:
         # phase B freezes the zero-initialized output head, so on an
         # untrained prior every phase-B gradient is exactly zero
         raise UsageError("nsd.phase_b > 0 needs nsd.phase_a > 0")
+    if cfg["nsd.phase_b"] > 0 and cfg["nsd.lam"] == 0:
+        # phase B trains the style attention, which gets no gradient at lam=0
+        raise UsageError("nsd.phase_b > 0 needs nsd.lam > 0")
     if not cfg["nsd.use_projector"]:
         # raw [mu; sigma] statistics are wider than the projector's
         # embedding, the only style token the denoiser's keys take; phase B
         # is named rather than nsd.lam, since it cannot run at nsd.lam=0
         active = [k for k in ("sample.lam", "eval.lam") if cfg[k] > 0]
-        if cfg["nsd.phase_b"] > 0 and cfg["nsd.lam"] > 0:
+        if cfg["nsd.phase_b"] > 0:
             active.insert(0, "nsd.phase_b")
         if active:
             raise UsageError(f"nsd.use_projector=0 gives style tokens the "

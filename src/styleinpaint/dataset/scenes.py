@@ -224,63 +224,70 @@ def valid_topleft(allowed: np.ndarray, p: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def _greedy_scan(positions: np.ndarray, p: int, n: int) -> np.ndarray | None:
-    """Row-major first-fit packing; handles exact-fit rectangles."""
-    accepted: list[tuple[int, int]] = []
-    for r, c in positions:
-        if all(abs(r - ar) >= p or abs(c - ac) >= p for ar, ac in accepted):
-            accepted.append((int(r), int(c)))
-            if len(accepted) == n:
-                return np.array(accepted, dtype=np.int64)
-    return None
+def _disjoint_from(rows: np.ndarray, cols: np.ndarray, i: int, p: int) -> np.ndarray:
+    """Mask of the p x p windows at (rows, cols) that do not overlap window i."""
+    return (np.abs(rows - rows[i]) >= p) | (np.abs(cols - cols[i]) >= p)
+
+
+def first_fit(positions: np.ndarray, p: int, n: int) -> list[int]:
+    """Indices of up to n windows kept by walking `positions` in order and
+    keeping each one that overlaps none kept before (the first still free)."""
+    rows, cols = np.ascontiguousarray(positions.T)
+    free = np.ones(len(positions), dtype=bool)
+    picked: list[int] = []
+    while len(picked) < n and free.any():
+        picked.append(int(np.argmax(free)))
+        free &= _disjoint_from(rows, cols, picked[-1], p)
+    return picked
 
 
 def place_disjoint(positions: np.ndarray, p: int, n: int, rng: np.random.Generator,
                    max_attempts: int = 10000, stall: int = 400) -> np.ndarray:
     """Pick n pairwise-disjoint p x p windows from candidate top-lefts.
 
-    Rejection sampling with a restart: if no placement lands for `stall`
-    consecutive attempts the accepted set is cleared, which un-jams dense
-    configurations. Tight regions where random placement essentially never
-    completes (e.g. 4 patches exactly filling a window) fall back to a
-    deterministic first-fit scan before raising.
+    Attempt t takes the t-th draw of `rng.integers(0, len(positions))`, a fixed
+    stream, and accepts it if a `free` mask over `positions` still marks it; an
+    accept clears the windows it overlaps. `stall` rejections in a row clear the
+    accepted set, which un-jams dense configurations; after `max_attempts` (e.g.
+    4 patches exactly filling a window) `first_fit` decides, or the call raises.
+    Draws come `stall` at a time, so the output equals the one-at-a-time
+    reference loop's (tests/oracles.py) for every seed; `rng` may end further on.
     """
-    if len(positions) == 0:
+    rows, cols = np.ascontiguousarray(positions.T)
+    free = np.ones(len(positions), dtype=bool)
+    draws, picked, attempts = np.empty(0, dtype=np.int64), [], 0
+    while len(picked) < n and attempts < max_attempts and len(positions):
+        window = min(stall, max_attempts - attempts)
+        if len(draws) < window:
+            draws = np.concatenate([draws, rng.integers(0, len(positions), size=stall)])
+        hit = free[draws[:window]]
+        j = int(np.argmax(hit))
+        if hit[j]:
+            picked.append(int(draws[j]))
+            free &= _disjoint_from(rows, cols, picked[-1], p)
+            window = j + 1
+        else:  # `stall` rejections in a row, or the last attempts: restart
+            picked.clear()
+            free[:] = True
+        attempts += window
+        draws = draws[window:]
+    if len(picked) < n:
+        picked = first_fit(positions, p, n)
+    if len(picked) < n:
         raise ValueError(f"cannot place {n} disjoint patches")
-    accepted: list[tuple[int, int]] = []
-    attempts = 0
-    since_progress = 0
-    while len(accepted) < n:
-        if attempts >= max_attempts:
-            fallback = _greedy_scan(positions, p, n)
-            if fallback is None:
-                raise ValueError(f"cannot place {n} disjoint patches")
-            return fallback
-        attempts += 1
-        r, c = positions[int(rng.integers(0, len(positions)))]
-        if all(abs(r - ar) >= p or abs(c - ac) >= p for ar, ac in accepted):
-            accepted.append((int(r), int(c)))
-            since_progress = 0
-        else:
-            since_progress += 1
-            if since_progress >= stall:
-                accepted.clear()
-                since_progress = 0
-    return np.array(accepted, dtype=np.int64)
+    return positions[picked].astype(np.int64)
 
 
 def crop_patches(image: SceneImage | np.ndarray, n: int, p: int, rng_seed: int,
                  image_id: int = -1, allowed: np.ndarray | None = None) -> PatchSet:
     """n pairwise-disjoint p x p crops, optionally restricted to an allowed
-    pixel region (every crop pixel must be allowed)."""
+    pixel region (every crop pixel must be allowed); placed per seed by `place_disjoint`."""
     pixels = image.pixels if isinstance(image, SceneImage) else np.asarray(image)
     h, w = pixels.shape[:2]
     if n * p * p > h * w:
         raise ValueError(f"cannot place {n} disjoint patches")
     if allowed is None:
-        rows = np.repeat(np.arange(h - p + 1), w - p + 1)
-        cols = np.tile(np.arange(w - p + 1), h - p + 1)
-        positions = np.stack([rows, cols], axis=1)
+        positions = np.argwhere(np.ones((h - p + 1, w - p + 1), dtype=bool))
     else:
         positions = valid_topleft(allowed, p)
     rng = derive(rng_seed, "crop")

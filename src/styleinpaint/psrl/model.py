@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checkpoint import PSRL_MAGIC, load_checkpoint
-from ..dataset.scenes import crop_patches, window_counts
+from ..dataset.scenes import crop_patches, first_fit, window_counts
 from ..nn import ParameterSet, Tensor, concat, no_grad, relu
 from ..nn import functional as F
 from ..rng import derive
@@ -132,23 +132,13 @@ class PSRLModel:
 
 def _least_masked_windows(allowed, shape, k: int, p: int) -> list[tuple[int, int]]:
     """k window top-lefts ranked by unmasked coverage, disjoint where possible."""
-    h, w = shape
-    if allowed is None:
-        counts = np.full((h - p + 1, w - p + 1), p * p, dtype=np.int64)
-    else:
-        counts = window_counts(allowed, p)
+    counts = window_counts(np.ones(shape, dtype=bool) if allowed is None else allowed, p)
     order = np.argsort(-counts, axis=None, kind="stable")
-    rows, cols = np.unravel_index(order, counts.shape)
-    picked: list[tuple[int, int]] = []
-    for r, c in zip(rows, cols):
-        if all(abs(r - a) >= p or abs(c - b) >= p for a, b in picked):
-            picked.append((int(r), int(c)))
-            if len(picked) == k:
-                return picked
+    ranked = np.stack(np.unravel_index(order, counts.shape), axis=1)
+    picked = first_fit(ranked, p, k)
     # tiny context: reuse the cleanest windows to fill the remaining slots
-    for i in range(k - len(picked)):
-        picked.append((int(rows[i % len(rows)]), int(cols[i % len(cols)])))
-    return picked
+    picked += [i % len(ranked) for i in range(k - len(picked))]
+    return [(int(r), int(c)) for r, c in ranked[picked]]
 
 
 def embed_style(model: PSRLModel, pixels: np.ndarray, mask: np.ndarray | None,

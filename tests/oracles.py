@@ -219,3 +219,61 @@ def forward_noise_loops(x0, t, eps, alpha, sigma):
         for i in range(flat_x.shape[1]):
             flat_o[n, i] = alpha[tn] * flat_x[n, i] + sigma[tn] * flat_e[n, i]
     return out
+
+
+def greedy_scan_loop(positions, p, n):
+    """Row-major first-fit packing; handles exact-fit rectangles."""
+    accepted = []
+    for r, c in positions:
+        if all(abs(r - ar) >= p or abs(c - ac) >= p for ar, ac in accepted):
+            accepted.append((int(r), int(c)))
+            if len(accepted) == n:
+                return np.array(accepted, dtype=np.int64)
+    return None
+
+
+def place_disjoint_loop(positions, p, n, rng, max_attempts=10000, stall=400):
+    """Rejection sampling one attempt at a time, with a restart after `stall`
+    rejections in a row and a first-fit fallback after `max_attempts`."""
+    if len(positions) == 0:
+        raise ValueError(f"cannot place {n} disjoint patches")
+    accepted = []
+    attempts = 0
+    since_progress = 0
+    while len(accepted) < n:
+        if attempts >= max_attempts:
+            fallback = greedy_scan_loop(positions, p, n)
+            if fallback is None:
+                raise ValueError(f"cannot place {n} disjoint patches")
+            return fallback
+        attempts += 1
+        r, c = positions[int(rng.integers(0, len(positions)))]
+        if all(abs(r - ar) >= p or abs(c - ac) >= p for ar, ac in accepted):
+            accepted.append((int(r), int(c)))
+            since_progress = 0
+        else:
+            since_progress += 1
+            if since_progress >= stall:
+                accepted.clear()
+                since_progress = 0
+    return np.array(accepted, dtype=np.int64)
+
+
+def least_masked_windows_loop(allowed, shape, k, p):
+    """k window top-lefts ranked by unmasked coverage, disjoint where possible."""
+    h, w = shape
+    counts = np.zeros((h - p + 1, w - p + 1), dtype=np.int64)
+    for r in range(h - p + 1):
+        for c in range(w - p + 1):
+            counts[r, c] = p * p if allowed is None else allowed[r:r + p, c:c + p].sum()
+    order = np.argsort(-counts, axis=None, kind="stable")
+    rows, cols = np.unravel_index(order, counts.shape)
+    picked = []
+    for r, c in zip(rows, cols):
+        if all(abs(r - a) >= p or abs(c - b) >= p for a, b in picked):
+            picked.append((int(r), int(c)))
+            if len(picked) == k:
+                return picked
+    for i in range(k - len(picked)):
+        picked.append((int(rows[i % len(rows)]), int(cols[i % len(cols)])))
+    return picked

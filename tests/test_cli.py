@@ -43,17 +43,27 @@ class TestConfig:
         assert run(["train-nsd", "--set", "nsd.phase_a=0"]) == 1
         assert "nsd.phase_a > 0" in capsys.readouterr().err
 
+    def test_phase_b_needs_style_weight(self, capsys):
+        # phase B trains the style attention; at nsd.lam=0 it gets no
+        # gradient, so the run must stop before phase A, not after it
+        with pytest.raises(UsageError, match=r"nsd.phase_b > 0 needs nsd.lam > 0"):
+            build_config({"nsd.lam": "0"})
+        assert build_config({"nsd.lam": "0", "nsd.phase_b": "0"})["nsd.lam"] == 0
+        assert run(["train-nsd", "--set", "nsd.lam=0"]) == 1
+        assert "nsd.lam > 0" in capsys.readouterr().err
+
     def test_stats_tokens_need_projector(self, capsys):
         # raw statistics do not fit the style keys, so a run that attends to
         # style without the projector must stop before it trains or samples
-        off = {"nsd.use_projector": "0", "nsd.lam": "0", "sample.lam": "0",
-               "eval.lam": "0"}
+        off = {"nsd.use_projector": "0", "nsd.phase_b": "0", "nsd.lam": "0",
+               "sample.lam": "0", "eval.lam": "0"}
         assert build_config(off)["nsd.use_projector"] == 0
         assert build_config({**off, "nsd.lam": "1", "nsd.phase_b": "0"})["nsd.lam"] == 1
-        for key, fix in (("nsd.lam", "nsd.phase_b"), ("sample.lam", "sample.lam"),
-                         ("eval.lam", "eval.lam")):
+        for extra, fix in (({"nsd.lam": "0.5", "nsd.phase_b": "1"}, "nsd.phase_b"),
+                           ({"sample.lam": "0.5"}, "sample.lam"),
+                           ({"eval.lam": "0.5"}, "eval.lam")):
             with pytest.raises(UsageError, match=f"set {fix} to 0"):
-                build_config({**off, key: "0.5"})
+                build_config({**off, **extra})
         with pytest.raises(UsageError, match="set nsd.phase_b, sample.lam, eval.lam to 0"):
             build_config({"nsd.use_projector": "0"})
         assert run(["train-nsd", "--set", "nsd.use_projector=0"]) == 1

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import oracles
 from styleinpaint.dataset import (DatasetSample, MaskSpec, VOCAB, caption_of,
                                   crop_patches, dataset_read, dataset_write,
-                                  generate_dataset, make_mask, palette_distance,
-                                  read_ppm, render_scene, sample_style,
-                                  style_from_id, valid_topleft, write_ppm)
+                                  generate_dataset, make_mask, mask_from_rect,
+                                  palette_distance, place_disjoint, read_ppm,
+                                  render_scene, sample_style, style_from_id,
+                                  valid_topleft, write_ppm)
+from styleinpaint.dataset.scenes import first_fit
 from styleinpaint.errors import DataError
+from styleinpaint.rng import derive
+
+FULL_GRID = valid_topleft(np.ones((64, 64), dtype=bool), 16)
 
 
 class TestStyles:
@@ -172,6 +178,84 @@ class TestPatches:
         ps = crop_patches(scene, 4, 16, 11, allowed=allowed)
         for r, c in ps.coordinates:
             assert 10 <= r and r + 16 <= 42 and 20 <= c and c + 16 <= 52
+
+    @staticmethod
+    def _placements(positions, n, seed, **limits):
+        """(kernel, loop) results for one case; a raise becomes its message."""
+        out = []
+        for place in (place_disjoint, oracles.place_disjoint_loop):
+            try:
+                out.append(place(positions, 16, n, derive(seed, "crop"), **limits))
+            except ValueError as err:
+                out.append(str(err))
+        return out
+
+    def test_place_disjoint_matches_loop(self):
+        window = np.zeros((64, 64), dtype=bool)
+        window[10:42, 20:52] = True  # 4 patches fit only by the first-fit fallback
+        cases = [(FULL_GRID, 8, seed, {}) for seed in range(400)]
+        cases += [(FULL_GRID, 8, seed, {"stall": 7, "max_attempts": 60})
+                  for seed in range(100)]  # restarts and the cap mid-chunk
+        cases += [(FULL_GRID, 4, seed, {"max_attempts": 5})
+                  for seed in range(100)]  # finish just before, or fall back at, the cap
+        for i in range(32):
+            scene = render_scene(sample_style(i), i)
+            for seed in range(16):
+                mask = make_mask(scene, 0.15 + 0.0125 * seed, 100 * i + seed).mask
+                cases.append((valid_topleft(mask == 0, 16), 4, seed, {}))
+        cases += [(valid_topleft(window, 16), n, seed, {})
+                  for n in (4, 5) for seed in range(4)]
+        for positions, n, seed, limits in cases:
+            got, want = self._placements(positions, n, seed, **limits)
+            if isinstance(want, str):
+                assert got == want == f"cannot place {n} disjoint patches"
+            else:
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want), (n, seed, limits)
+        assert len(cases) >= 1000
+        fallback = self._placements(valid_topleft(window, 16), 4, 0)[0]
+        np.testing.assert_array_equal(fallback, [[10, 20], [10, 36], [26, 20], [26, 36]])
+
+    def test_place_disjoint_restart_matches_loop(self):
+        # 9 patches often jam the full grid; a loop run that differs from one
+        # that never restarts must have cleared its accepted set
+        restarted = 0
+        for seed in range(20):
+            got, want = self._placements(FULL_GRID, 9, seed)
+            never = oracles.place_disjoint_loop(FULL_GRID, 16, 9, derive(seed, "crop"),
+                                                stall=10 ** 9)
+            restarted += not np.array_equal(want, never)
+            np.testing.assert_array_equal(got, want)
+        assert restarted >= 5
+
+    @pytest.mark.parametrize("bound", [1, 7, 49, 2401, 2 ** 31 + 5])
+    def test_chunked_draws_equal_single_draws(self, bound):
+        # place_disjoint draws its attempts in chunks; this holds only while
+        # numpy keeps the half-used 32-bit word in the bit generator
+        sizes = [1, 3, 400, 2, 399, 7, 1]
+        single = derive(5, "draws")
+        chunked = derive(5, "draws")
+        want = [int(single.integers(0, bound)) for _ in range(sum(sizes))]
+        got = np.concatenate([chunked.integers(0, bound, size=k) for k in sizes])
+        assert got.tolist() == want
+        assert chunked.integers(0, 2 ** 40) == single.integers(0, 2 ** 40)
+
+    def test_first_fit_matches_greedy_loop(self):
+        # the fallback's scan, on the contexts too tight for random placement
+        scene = render_scene(sample_style(12), 12)
+        tight = 0
+        for rect in [(0, 0, 64, 40), (8, 0, 56, 64), (0, 10, 40, 54), (16, 16, 48, 48),
+                     (0, 20, 64, 24), (30, 0, 20, 64)]:
+            positions = valid_topleft(mask_from_rect(scene.pixels, rect).mask == 0, 16)
+            for n in range(1, 9):
+                picked = first_fit(positions, 16, n)
+                want = oracles.greedy_scan_loop(positions, 16, n)
+                if want is None:
+                    assert len(picked) < n
+                    tight += 1
+                else:
+                    np.testing.assert_array_equal(positions[picked], want)
+        assert tight > 0
 
     def test_valid_topleft_prefix_sums(self):
         allowed = np.zeros((8, 8), dtype=bool)

@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 from configs import full_config
-from styleinpaint.dataset import generate_dataset, mask_from_rect
+from styleinpaint.dataset import crop_patches, generate_dataset, mask_from_rect
 from styleinpaint.errors import DataError
 from styleinpaint.nn import Tensor, gradcheck, no_grad
 from styleinpaint.psrl import (PSRLModel, StyleFeature, contrastive_loss,
                                embed_style, intra_image_stats_loss,
                                psrl_batch_loss, stats_loss,
                                style_contrastive_loss, train_psrl)
+from styleinpaint.psrl.model import _least_masked_windows
 from styleinpaint.psrl.train import held_out_margin
 
 
@@ -449,6 +450,26 @@ class TestEmbedStyle:
         scrambled[:56] = 0.123
         again = embed_style(model, scrambled, mask, k=2, rng_seed=0)
         np.testing.assert_array_equal(toks, again)
+
+    def test_tight_mask_windows_match_loop(self):
+        # the least-masked ranking on masks that leave no fully visible
+        # window, so embed_style takes this path; a 40x40 context holds at
+        # most 4 disjoint windows, so k=6 also takes the fill-up step
+        model, sample = self._model_and_scene()
+        pixels = sample.pixels[:40, :40]
+        for rect in [(0, 0, 40, 30), (0, 0, 30, 40), (3, 3, 35, 35),
+                     (0, 6, 40, 26), (8, 0, 26, 40)]:
+            mask = mask_from_rect(pixels, rect).mask
+            for k in (2, 4, 6):
+                with pytest.raises(ValueError, match="cannot place"):
+                    crop_patches(pixels, k, 16, 0, allowed=mask == 0)
+                want = oracles.least_masked_windows_loop(mask == 0, mask.shape, k, 16)
+                assert _least_masked_windows(mask == 0, mask.shape, k, 16) == want
+        assert len(set(want)) < 6
+        source = pixels * (1.0 - mask[..., None])
+        patches = np.stack([source[r:r + 16, c:c + 16] for r, c in want])
+        toks = embed_style(model, pixels, mask, k=6, rng_seed=0)
+        np.testing.assert_array_equal(toks[1:], model.embed_patches(patches))
 
     def test_image_below_patch_size_rejected(self):
         model, _ = self._model_and_scene()
