@@ -129,6 +129,13 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("dataset.size must be a positive multiple of 4")
     if not cfg["dataset.mask_lo"] <= cfg["dataset.mask_hi"]:
         raise UsageError("dataset.mask_lo must be <= dataset.mask_hi")
+    for key in ("dataset.mask_lo", "dataset.mask_hi"):
+        if not 0.1 <= cfg[key] <= 0.5:
+            raise UsageError(f"{key} must lie in [0.1, 0.5], the mask areas make_mask draws")
+    if cfg["psrl.n"] < 2:
+        # every PSRL step evaluates the same-image terms, L_xy included (it
+        # is logged in every mode), and they compare patches in pairs
+        raise UsageError("psrl.n must be >= 2")
     if cfg["nsd.phase_a"] == 0 and cfg["nsd.phase_b"] > 0:
         # phase B freezes the zero-initialized output head, so on an
         # untrained prior every phase-B gradient is exactly zero
@@ -136,6 +143,9 @@ def validate_config(cfg: dict) -> None:
     if cfg["nsd.phase_b"] > 0 and cfg["nsd.lam"] == 0:
         # phase B trains the style attention, which gets no gradient at lam=0
         raise UsageError("nsd.phase_b > 0 needs nsd.lam > 0")
+    if cfg["nsd.phase_b"] > 0 and cfg["nsd.k"] == 0:
+        # phase B embeds each image's style from k context patches
+        raise UsageError("nsd.phase_b > 0 needs nsd.k > 0")
     if not cfg["nsd.use_projector"]:
         # raw [mu; sigma] statistics are wider than the projector's
         # embedding, the only style token the denoiser's keys take; phase B

@@ -4,6 +4,9 @@ conv2d is the hot path. It lowers the padded input to channel-major im2col
 columns, one GEMM per pass; see conv2d for the layout. The backward pass
 rebuilds the columns from the saved padded input (cheaper than holding them)
 for dW and scatters dX back through one add per kernel tap.
+
+scaled_dot_attention is one tape node that keeps only the softmax P of its
+scores, and gives the bits of the matmul/mul/softmax chain it replaces.
 """
 
 from __future__ import annotations
@@ -101,12 +104,43 @@ def channel_mean_std(x: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v over [B, L, d] operands."""
+    """softmax(q k^T / sqrt(d)) v over [B, L, d] operands of one batch size,
+    as one tape node.
+
+    The forward pass turns the [B, Lq, Lk] scores into the softmax P in
+    place, and the node keeps P and no other array of that size. The
+    backward pass, with scale = 1/sqrt(d), is dv = P^T g, dP = g v^T,
+    dS = (dP - rowsum(dP * P)) * P * scale, dq = dS k, dk = (q^T dS)^T.
+    Every step repeats the arithmetic of the composed
+    transpose/matmul/mul/softmax/matmul chain, in its order and on the same
+    operand layouts, and v, q, k receive their gradients in that chain's
+    order, so outputs and gradients are bit-identical to it.
+    """
     if k.shape[1] == 0:
         raise ValueError("attention over an empty key sequence")
-    d = q.shape[-1]
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    p = q.data @ k.data.transpose(0, 2, 1)
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=p.dtype)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = p @ v.data
+
+    def backward(g):
+        if v.requires_grad:
+            _accum(v, np.swapaxes(p, -1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        if q.requires_grad:
+            _accum(q, gs @ k.data)
+        if k.requires_grad:
+            _accum(k, (np.swapaxes(q.data, -1, -2) @ gs).transpose(0, 2, 1))
+
+    return _node(out_data, (q, k, v), backward)
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:

@@ -203,8 +203,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -214,8 +216,10 @@ def sub(a, b) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -225,8 +229,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -236,8 +242,10 @@ def div(a, b) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -429,10 +437,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 

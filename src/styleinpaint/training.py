@@ -31,17 +31,20 @@ def run_steps(params: ParameterSet, config: dict, seed: int, total_steps: int,
 
     With `resumed` (the checkpoint's tensors, `config` being its echo) the
     parameters and Adam moments are restored and training continues from
-    the echoed step. The checkpoint echoes `seed`, the step count, and the
-    `echo` keys of `config`.
+    the echoed step. The restore consumes `resumed`: parameters are copied
+    into place, the Adam moments become the loaded arrays themselves, and
+    each entry is popped, so the checkpoint is not held twice while
+    training. The checkpoint echoes `seed`, the step count, and the `echo`
+    keys of `config`.
     """
     opt = AdamState(lr=config["lr"])
     start = 0
     if resumed is not None:
         opt.step, start = config["opt_step"], config["step"]
         for name in params.paths():
-            params[name].data[...] = resumed[name]
-            opt.m[name] = resumed["opt.m." + name].copy()
-            opt.v[name] = resumed["opt.v." + name].copy()
+            params[name].data[...] = resumed.pop(name)
+            opt.m[name] = resumed.pop("opt.m." + name)
+            opt.v[name] = resumed.pop("opt.v." + name)
 
     rows = []
     for step in range(start, total_steps):

@@ -3,7 +3,8 @@
 Everything here is written as plain loops over numpy scalars (or direct
 transcriptions of textbook formulas) and is deliberately independent of the
 package's vectorized code paths. Tests compare the fast implementations
-against these.
+against these. The one exception is scaled_dot_attention_tape, the chain of
+generic tape nodes whose bits the fused attention node must reproduce.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from styleinpaint.nn import tensor as T
 
 
 def conv2d_loops(x, w, b=None, stride=1, padding=1, pad_mode="zeros"):
@@ -74,6 +77,20 @@ def attention_loops(q, k, v):
             for t in range(d):
                 out[n, i, t] = sum(w[j] * v[n, j, t] for j in range(Lk))
     return out
+
+
+def scaled_dot_attention_tape(q, k, v):
+    """softmax(q k^T / sqrt(d)) v composed from generic tape nodes.
+
+    The attention that `F.scaled_dot_attention` fuses into one node, kept as
+    five nodes: the fused node must give this chain's bits, forward and
+    backward.
+    """
+    if k.shape[1] == 0:
+        raise ValueError("attention over an empty key sequence")
+    d = q.shape[-1]
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
+    return T.matmul(T.softmax(scores, axis=-1), v)
 
 
 def mean_std_loops(x, eps=1e-5):

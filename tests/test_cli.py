@@ -69,6 +69,35 @@ class TestConfig:
         assert run(["train-nsd", "--set", "nsd.use_projector=0"]) == 1
         assert "nsd.use_projector=0" in capsys.readouterr().err
 
+    def test_phase_b_needs_style_patches(self, capsys):
+        # phase B embeds each image's style from nsd.k context patches; at
+        # k=0 the run used to fail only after all of phase A had trained
+        with pytest.raises(UsageError, match=r"nsd.phase_b > 0 needs nsd.k > 0"):
+            build_config({"nsd.k": "0"})
+        assert build_config({"nsd.k": "0", "nsd.phase_b": "0"})["nsd.k"] == 0
+        assert run(["train-nsd", "--set", "nsd.k=0"]) == 1
+        assert "nsd.k > 0" in capsys.readouterr().err
+
+    def test_psrl_needs_patch_pairs(self, capsys):
+        # every mode evaluates the same-image terms (L_xy is logged even when
+        # it is not trained), and they need two patches per image
+        for mode in ("progressive", "contrastive_only", "stats_only"):
+            with pytest.raises(UsageError, match="psrl.n must be >= 2"):
+                build_config({"psrl.n": "1", "psrl.mode": mode})
+        assert build_config({"psrl.n": "2"})["psrl.n"] == 2
+        assert run(["train-psrl", "--set", "psrl.n=0"]) == 1
+        assert "psrl.n must be >= 2" in capsys.readouterr().err
+
+    def test_mask_fraction_range(self, capsys):
+        # make_mask draws areas in [0.1, 0.5] and raised mid-generation
+        for key, bad in (("dataset.mask_lo", "0.05"), ("dataset.mask_hi", "0.6")):
+            with pytest.raises(UsageError, match=rf"{key} must lie in \[0.1, 0.5\]"):
+                build_config({key: bad})
+        cfg = build_config({"dataset.mask_lo": "0.1", "dataset.mask_hi": "0.5"})
+        assert (cfg["dataset.mask_lo"], cfg["dataset.mask_hi"]) == (0.1, 0.5)
+        assert run(["gen-dataset", "--set", "dataset.mask_lo=0.05"]) == 1
+        assert "dataset.mask_lo must lie in" in capsys.readouterr().err
+
     def test_file_parsing_and_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\n"

@@ -6,6 +6,7 @@ import pytest
 import styleinpaint.diffusion.train as nsd_train
 from configs import full_config
 from oracles import attention_loops, forward_noise_loops
+from styleinpaint.checkpoint import NSDM_MAGIC
 from styleinpaint.dataset import generate_dataset
 from styleinpaint.diffusion import (ConditioningBundle, Denoiser, InpaintTask,
                                     NSDModel, SemanticEncoder, build_schedule,
@@ -19,6 +20,7 @@ from styleinpaint.nn import functional as F
 from styleinpaint.nn.gradcheck import gradcheck
 from styleinpaint.psrl.model import PSRLModel
 from styleinpaint.rng import derive
+from styleinpaint.training import run_steps
 
 
 class TestSchedule:
@@ -369,6 +371,30 @@ class TestTrainNsd:
         for p in sorted(full.params.paths()):
             np.testing.assert_array_equal(full.params[p].data, resumed.params[p].data,
                                           err_msg=p)
+
+    def test_resume_hands_over_checkpoint(self):
+        # run_steps consumes `resumed`: parameters are copied into place and
+        # the Adam moments are the loaded arrays, so nothing is held twice
+        params = ParameterSet()
+        w = params.add("w", Tensor(np.zeros(3, np.float32)))
+        loaded = {"w": np.array([1.0, -2.0, 3.0], np.float32),
+                  "opt.m.w": np.full(3, 0.1, np.float32),
+                  "opt.v.w": np.full(3, 0.2, np.float32)}
+        resumed = dict(loaded)
+
+        def step_fn(step):
+            np.testing.assert_array_equal(w.data, [1.0, -2.0, 3.0])
+            loss = (w * w).sum()
+            return loss, lambda: f"{step}"
+
+        rows = run_steps(params, {"lr": 1e-3, "opt_step": 5, "step": 2}, 0, 3,
+                         step_fn, resumed, magic=NSDM_MAGIC, echo=(), header="step")
+        assert rows == ["2"]
+        assert resumed == {}
+        assert w.data is not loaded["w"]
+        np.testing.assert_array_equal(loaded["w"], [1.0, -2.0, 3.0])
+        # Adam updated the loaded moments in place: 0.9 * 0.1 + 0.1 * 2w
+        np.testing.assert_allclose(loaded["opt.m.w"], [0.29, -0.31, 0.69], rtol=1e-6)
 
     def test_nan_guard(self, monkeypatch):
         samples = _smoke_dataset(size=32, count=4, seed=24)

@@ -1,5 +1,7 @@
 """Autodiff substrate: forward values vs loop oracles, gradients vs FD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,32 @@ CONV_LAYOUTS = {
     "one_by_one_unpadded": (2, 4, 3, 5, 6, 1, 1, 0, "zeros"),
     "batch3_cin_ne_cout": (3, 2, 5, 6, 5, 3, 1, 1, "edge"),
 }
+
+
+# attention shapes of the model at width 64: B=4 self-attention at 1024 and
+# 256 tokens (denoiser and reference-net blocks), 1024 queries over k+1 = 5
+# style tokens and the batch-1 sampler case. 1/sqrt(64) is a power of two,
+# which makes the order of the scale multiply invisible, so the float64 and
+# width-24 cases use widths whose scale rounds.
+# Fields: B, Lq, Lk, d, dtype.
+ATTENTION_SHAPES = {
+    "self_1024": (4, 1024, 1024, 64, np.float32),
+    "self_256": (4, 256, 256, 64, np.float32),
+    "style_tokens": (4, 1024, 5, 64, np.float32),
+    "batch1_1024": (1, 1024, 1024, 64, np.float32),
+    "width24": (2, 128, 96, 24, np.float32),
+    "float64": (2, 96, 40, 20, np.float64),
+}
+
+
+def attention_and_grads(attend, q, k, v, g, frozen=()):
+    """Output and (dq, dk, dv) of attend(q, k, v) under the upstream
+    gradient g; operands named in `frozen` do not require grad."""
+    ts = {name: Tensor(a.copy(), requires_grad=name not in frozen)
+          for name, a in (("q", q), ("k", k), ("v", v))}
+    out = attend(ts["q"], ts["k"], ts["v"])
+    nn.tsum(out * Tensor(g)).backward()
+    return out.data, [ts[name].grad for name in "qkv"]
 
 
 def conv_case(rng, name):
@@ -326,6 +354,71 @@ class TestGradients:
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             (a * 2.0).backward()
+
+
+class TestFusedAttention:
+    """scaled_dot_attention is one node that gives the bits of the composed
+    transpose/matmul/mul/softmax/matmul chain, forward and backward."""
+
+    @pytest.mark.parametrize("name", sorted(ATTENTION_SHAPES))
+    def test_bit_identical_to_composed_chain(self, name):
+        B, Lq, Lk, d, dtype = ATTENTION_SHAPES[name]
+        rng = np.random.default_rng(41)
+        q, k, v, g = (rng.standard_normal(shape).astype(dtype)
+                      for shape in ((B, Lq, d), (B, Lk, d), (B, Lk, d), (B, Lq, d)))
+        want, want_grads = attention_and_grads(oracles.scaled_dot_attention_tape,
+                                               q, k, v, g)
+        got, got_grads = attention_and_grads(F.scaled_dot_attention, q, k, v, g)
+        assert got.dtype == dtype and np.array_equal(got, want)
+        for axis, a, b in zip("qkv", got_grads, want_grads):
+            assert a.dtype == dtype and np.array_equal(a, b), f"d{axis} differs"
+            # same memory layout too (dk is a transposed product), so the
+            # products upstream of the node see the operands the chain gave
+            assert a.strides == b.strides, f"d{axis} layout differs"
+
+    @pytest.mark.parametrize("frozen", [("q", "k"), ("k",), ("v",)])
+    def test_frozen_operands_get_no_grad(self, frozen):
+        rng = np.random.default_rng(42)
+        q, k, v, g = (rng.standard_normal((2, 32, 16)).astype(np.float32)
+                      for _ in range(4))
+        _, want = attention_and_grads(oracles.scaled_dot_attention_tape,
+                                      q, k, v, g, frozen)
+        _, got = attention_and_grads(F.scaled_dot_attention, q, k, v, g, frozen)
+        for axis, a, b in zip("qkv", got, want):
+            if axis in frozen:
+                assert a is None and b is None
+            else:
+                assert np.array_equal(a, b), f"d{axis} differs"
+
+    def test_shared_operand_accumulates_like_chain(self):
+        # one tensor as q, k and v takes three gradient terms; the node must
+        # add them in the chain's order (v, then q, then k) to match its bits
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((4, 256, 64)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        grads = []
+        for attend in (oracles.scaled_dot_attention_tape, F.scaled_dot_attention):
+            t = Tensor(x.copy(), requires_grad=True)
+            nn.tsum(attend(t, t, t) * Tensor(g)).backward()
+            grads.append(t.grad)
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_keeps_one_score_array(self):
+        # after the forward pass the node holds P for backward and no other
+        # [B, Lq, Lk] array; the chain held the raw scores, the scaled
+        # scores and P
+        B, L, d = 2, 512, 64
+        rng = np.random.default_rng(44)
+        q, k, v = (Tensor(rng.standard_normal((B, L, d)).astype(np.float32),
+                          requires_grad=True) for _ in range(3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = F.scaled_dot_attention(q, k, v)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.1 * B * L * L * 4, f"kept {kept / (B * L * L * 4):.2f} score arrays"
 
 
 class TestAdam:
