@@ -30,9 +30,6 @@ DEFAULTS = {
     "psrl.s2": 550,             # stage-2 steps (adds the contrastive term)
     "psrl.lr": 1e-4,
     "psrl.batch": 8,            # images per step
-    "psrl.pairing": "distinct_style",  # or distinct_image
-    "psrl.in_batch_negatives": 0,      # 1 pools negatives across the batch
-    "psrl.freeze_encoder_stage2": 0,
     "psrl.checkpoint": "psrl.ckpt",
     "psrl.log": "psrl_log.csv",
 
@@ -121,8 +118,7 @@ def validate_config(cfg: dict) -> None:
     for key in ("dataset.count", "dataset.styles", "psrl.n", "psrl.p",
                 "psrl.s1", "psrl.s2", "psrl.batch", "nsd.T", "nsd.phase_a",
                 "nsd.phase_b", "nsd.batch", "nsd.k", "sample.steps",
-                "sample.k", "eval.count", "eval.k", "eval.steps",
-                "viz.count", "viz.n"):
+                "sample.k", "eval.count", "eval.steps", "viz.count"):
         if cfg[key] < 0:
             raise UsageError(f"{key} must be >= 0")
     if cfg["dataset.size"] % 4 != 0 or cfg["dataset.size"] <= 0:
@@ -136,6 +132,13 @@ def validate_config(cfg: dict) -> None:
         # every PSRL step evaluates the same-image terms, L_xy included (it
         # is logged in every mode), and they compare patches in pairs
         raise UsageError("psrl.n must be >= 2")
+    # scoring and viz always embed patches, a style-conditioned fill too
+    if cfg["eval.k"] < 1:
+        raise UsageError("eval.k must be >= 1")
+    if cfg["sample.lam"] > 0 and cfg["sample.k"] < 1:
+        raise UsageError("sample.lam > 0 needs sample.k >= 1")
+    if cfg["viz.n"] < 1:
+        raise UsageError("viz.n must be >= 1")
     if cfg["nsd.phase_a"] == 0 and cfg["nsd.phase_b"] > 0:
         # phase B freezes the zero-initialized output head, so on an
         # untrained prior every phase-B gradient is exactly zero

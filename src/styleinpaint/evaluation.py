@@ -1,9 +1,10 @@
 """Style-consistency scoring, PSNR, clustering stats, and benchmark sweeps.
 
-The style-cosine protocol embeds k patches from inside the mask and k from
-the surrounding context with the trained style encoder and averages all
-pairwise cosines; a generated region that keeps the scene's style scores
-close to the intra-image baseline, a foreign fill scores well below it.
+The style-cosine protocol (`style_cosines`) embeds k patches from inside the
+mask and k from the surrounding context with the trained style encoder and
+averages all pairwise cosines; a generated region that keeps the scene's
+style scores close to the intra-image baseline, a foreign fill scores well
+below it, as do the in-mask patches against a foreign-style scene.
 """
 
 from __future__ import annotations
@@ -56,19 +57,23 @@ def _region_embeddings(image: np.ndarray, allowed: np.ndarray, k: int, seed: int
     return encoder.embed_patches(patches, use_projector=use_projector)
 
 
-def style_cosine_consistency(image: np.ndarray, mask: np.ndarray,
-                             encoder: PSRLModel, k: int, seed: int,
-                             use_projector: bool = True) -> float:
-    """Mean pairwise cosine between k in-mask and k context patch embeddings."""
-    mask = np.asarray(mask)
-    inside = _region_embeddings(image, mask == 1, k, derive(seed, "in").integers(2 ** 63),
-                                encoder, disjoint=False, use_projector=use_projector)
-    try:
-        context = _region_embeddings(image, mask == 0, k, derive(seed, "ctx").integers(2 ** 63),
-                                     encoder, disjoint=True, use_projector=use_projector)
-    except ValueError as e:
-        raise ValueError("mask too large for context patch placement") from e
-    return float((inside @ context.T).mean())
+def style_cosines(image: np.ndarray, mask: np.ndarray, foreign: DatasetSample | None,
+                  encoder: PSRLModel, k: int, rng: np.random.Generator,
+                  use_projector: bool = True) -> tuple[float, float]:
+    """Mean pairwise cosines of k in-mask patch embeddings of `image`
+    against k context patches of `image` and of `foreign`: (self, foreign).
+    One draw from `rng` seeds each region, embedded in that order."""
+    def embed(pixels, allowed, disjoint):
+        return _region_embeddings(pixels, allowed, k, int(rng.integers(2 ** 63)), encoder,
+                                  disjoint=disjoint, use_projector=use_projector)
+
+    inside = embed(image, mask == 1, False)
+    own_ctx = embed(image, mask == 0, True)
+    if foreign is None:
+        raise ValueError("no foreign-style sample available")
+    fmask = mask_from_rect(foreign.pixels, foreign.mask_rect).mask
+    foreign_ctx = embed(foreign.pixels, fmask == 0, True)
+    return style_cosine_between(inside, own_ctx), style_cosine_between(inside, foreign_ctx)
 
 
 def style_cosine_between(in_patches: np.ndarray, context: np.ndarray) -> float:
@@ -161,11 +166,11 @@ def export_projection(embeddings: np.ndarray, labels, path) -> np.ndarray:
     return proj
 
 
-def _foreign_index(samples: list[DatasetSample], i: int) -> int | None:
+def _foreign_sample(samples: list[DatasetSample], i: int) -> DatasetSample | None:
     for step in range(1, len(samples)):
         j = (i + step) % len(samples)
         if samples[j].style_id != samples[i].style_id:
-            return j
+            return samples[j]
     return None
 
 
@@ -194,23 +199,10 @@ def run_benchmark(model, psrl: PSRLModel, dataset: list[DatasetSample],
                                  paste_background=paste)
             psnr = psnr_unmasked(out, s.pixels, spec.mask)
             composite = np.where(spec.mask[..., None] > 0, out, s.pixels)
-            emb_seed = derive(seed, "eval-embed", i)
-            inside = _region_embeddings(composite, spec.mask == 1, k,
-                                        int(emb_seed.integers(2 ** 63)), psrl,
-                                        disjoint=False, use_projector=use_projector)
-            own_ctx = _region_embeddings(composite, spec.mask == 0, k,
-                                         int(emb_seed.integers(2 ** 63)), psrl,
-                                         disjoint=True, use_projector=use_projector)
-            j = _foreign_index(samples, i)
-            if j is None:
-                raise ValueError("no foreign-style sample available")
-            foreign = samples[j]
-            fmask = mask_from_rect(foreign.pixels, foreign.mask_rect)
-            foreign_ctx = _region_embeddings(foreign.pixels, fmask.mask == 0, k,
-                                             int(emb_seed.integers(2 ** 63)), psrl,
-                                             disjoint=True, use_projector=use_projector)
-            rows.append(TaskRecord(i, style_cosine_between(inside, own_ctx),
-                                   style_cosine_between(inside, foreign_ctx), psnr))
+            cos_self, cos_foreign = style_cosines(
+                composite, spec.mask, _foreign_sample(samples, i), psrl, k,
+                derive(seed, "eval-embed", i), use_projector)
+            rows.append(TaskRecord(i, cos_self, cos_foreign, psnr))
         except Exception as e:  # a bad task must not abort the sweep
             reason = " ".join(str(e).split()).replace(",", ";")
             rows.append(TaskRecord(i, None, None, None, status=reason or type(e).__name__))

@@ -7,9 +7,9 @@ objective is scale-invariant: shrinking every feature towards zero, down to
 a dead encoder, no longer minimizes it, and the gradient through the divisor
 keeps patches of different images apart. L_xy is a symmetric InfoNCE over
 projector embeddings where the positive is another patch of the same image
-and the negatives are the paired image's patches. The vectorized form
-evaluates every (anchor, positive) term as
-logaddexp(pos/tau, rowLSE(neg/tau)) - pos/tau.
+and the negatives are the patches of its pair partner only, not of the rest
+of the batch. The vectorized form evaluates every (anchor, positive) term
+as logaddexp(pos/tau, rowLSE(neg/tau)) - pos/tau.
 """
 
 from __future__ import annotations
@@ -96,36 +96,27 @@ def contrastive_loss(anchor, positive, negatives, tau: float = 0.07) -> Tensor:
     return sub(logsumexp(logits, axis=0), div(ap, tau))
 
 
-def _directed_nce(anchors: Tensor, mates: Tensor, negatives: Tensor, tau: float,
-                  pooled_negatives: bool = False) -> Tensor:
+def _directed_nce(anchors: Tensor, mates: Tensor, negatives: Tensor, tau: float) -> Tensor:
     """Sum of InfoNCE terms over ordered same-set pairs (i, j != i).
 
     anchors/mates are the same [B, N, d] embedding set; negatives is the
-    paired set. With pooled_negatives the negative pool is every pair's
-    negatives flattened together.
+    paired set, whose row b holds the negatives of anchors row b.
     """
-    b, n, d = anchors.shape
+    n = anchors.shape[1]
     pos = div(matmul(anchors, transpose(mates, (0, 2, 1))), tau)  # [B, N, N]
-    if pooled_negatives:
-        flat = reshape(negatives, (b * n, d))
-        sims = div(matmul(reshape(anchors, (b * n, d)), transpose(flat, (1, 0))), tau)
-        lse = reshape(logsumexp(sims, axis=1), (b, n, 1))
-    else:
-        sims = div(matmul(anchors, transpose(negatives, (0, 2, 1))), tau)
-        lse = logsumexp(sims, axis=2, keepdims=True)  # [B, N, 1]
+    sims = div(matmul(anchors, transpose(negatives, (0, 2, 1))), tau)
+    lse = logsumexp(sims, axis=2, keepdims=True)  # [B, N, 1]
     terms = sub(logaddexp(pos, lse), pos)  # [B, N, N]
     off = 1.0 - np.eye(n, dtype=np.float32)
     return tsum(mul(terms, off))
 
 
-def style_contrastive_loss(ex: Tensor, ey: Tensor, tau: float = 0.07,
-                           pooled_negatives: bool = False) -> Tensor:
+def style_contrastive_loss(ex: Tensor, ey: Tensor, tau: float = 0.07) -> Tensor:
     """L_xy symmetrized over X and Y anchors, mean over all ordered pairs."""
     b, n, _ = ex.shape
     if n < 2:
         raise ValueError("style contrastive loss needs at least 2 patches per image")
-    total = add(_directed_nce(ex, ex, ey, tau, pooled_negatives),
-                _directed_nce(ey, ey, ex, tau, pooled_negatives))
+    total = add(_directed_nce(ex, ex, ey, tau), _directed_nce(ey, ey, ex, tau))
     return div(total, 2.0 * b * n * (n - 1))
 
 
@@ -142,8 +133,7 @@ class PsrlLossOutput:
 
 
 def psrl_batch_loss(model: PSRLModel, x_patches: np.ndarray, y_patches: np.ndarray,
-                    tau: float, stage: int,
-                    pooled_negatives: bool = False) -> PsrlLossOutput:
+                    tau: float, stage: int) -> PsrlLossOutput:
     """Combined loss over a batch of image pairs.
 
     x_patches/y_patches: [B, N, P, P, 3]. L_x / L_y are the same-image
@@ -165,7 +155,7 @@ def psrl_batch_loss(model: PSRLModel, x_patches: np.ndarray, y_patches: np.ndarr
     emb = model.project(feat)
     ex = reshape(emb, (2 * b, n, emb.shape[1]))[:b]
     ey = reshape(emb, (2 * b, n, emb.shape[1]))[b:]
-    l_xy = style_contrastive_loss(ex, ey, tau, pooled_negatives)
+    l_xy = style_contrastive_loss(ex, ey, tau)
     zs = model.stats_vector(feat)
     zx = reshape(zs, (2 * b, n, zs.shape[1]))[:b]
     zy = reshape(zs, (2 * b, n, zs.shape[1]))[b:]

@@ -4,11 +4,12 @@ Stage 1 trains the encoder alone on statistics alignment (L_x + L_y, each a
 same-image statistics distance divided by the X-to-Y distance of the batch,
 so a shrinking or dead encoder cannot minimize it); stage 2 turns on the
 contrastive term and trains encoder and projector jointly. The
-`contrastive_only` mode drops the statistics warm-up and trains every step
-on L_xy alone; `stats_only` never leaves stage 1 and so never trains the
-projector. Each step's patches and pairings derive from (seed, step), so
-interrupted runs resume exactly. A step whose loss is non-finite, or whose
-final-block activations are all zero across the batch (a collapsed
+`contrastive_only` mode is stage 2 from the first step, trained on L_xy
+alone; `stats_only` never leaves stage 1 and so never trains the projector.
+Each step pairs every X image with a Y image of another style, whose
+patches are its negatives. Patches and pairings derive from (seed, step),
+so interrupted runs resume exactly. A step whose loss is non-finite, or
+whose final-block activations are all zero across the batch (a collapsed
 encoder), raises NumericsError.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from ..checkpoint import PSRL_MAGIC, load_checkpoint
 from ..dataset.io import DatasetSample
 from ..dataset.scenes import crop_patches
-from ..errors import DataError, NumericsError
+from ..errors import DataError, NumericsError, UsageError
 from ..nn import AdamState, no_grad
 from ..rng import derive
 from ..training import run_steps, save_training_checkpoint
@@ -29,22 +30,21 @@ from .model import FEAT_DIM, PSRLModel
 LOG_HEADER = "step,stage,L_x,L_y,L_xy,total,pos_cos,neg_cos"
 MODES = ("progressive", "contrastive_only", "stats_only")
 # config keys the checkpoint echoes, besides seed, step and opt_step
-ECHO_KEYS = ("s1", "s2", "mode", "n", "p", "tau", "lr", "batch", "pairing",
-             "in_batch_negatives", "freeze_encoder_stage2")
+ECHO_KEYS = ("s1", "s2", "mode", "n", "p", "tau", "lr", "batch")
+# options that older checkpoints echo, at the one value training still has
+REMOVED_KEYS = {"pairing": "distinct_style", "in_batch_negatives": 0,
+                "freeze_encoder_stage2": 0}
 
 
-def _pair_indices(samples, batch: int, pairing: str, rng) -> list[tuple[int, int]]:
-    """Image pairs for one step; negatives must differ in style (or identity)."""
+def _pair_indices(samples, batch: int, rng) -> list[tuple[int, int]]:
+    """Image pairs for one step; the two images of a pair differ in style."""
     pairs = []
     n = len(samples)
     for _ in range(batch):
         for _attempt in range(1000):
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, n))
-            if pairing == "distinct_style":
-                if samples[i].style_id != samples[j].style_id:
-                    break
-            elif i != j:
+            if samples[i].style_id != samples[j].style_id:
                 break
         else:
             raise DataError("dataset lacks two distinct styles for pairing")
@@ -75,43 +75,34 @@ def train_psrl(samples: list[DatasetSample], config: dict, seed: int,
     resumed = None
     if resume is not None:
         config, resumed = load_checkpoint(resume, PSRL_MAGIC)
+        for key, kept in REMOVED_KEYS.items():
+            if config.get(key, kept) != kept:
+                raise UsageError(f"checkpoint {resume} sets psrl.{key}={config[key]!r}, "
+                                 f"a removed option; only {kept!r} can be resumed")
         seed = config["seed"]
     mode = config["mode"]
     if mode not in MODES:
         raise ValueError(f"unknown psrl mode '{mode}'")
     n, p, tau, s1 = config["n"], config["p"], config["tau"], config["s1"]
-    batch, pairing = config["batch"], config["pairing"]
-    pooled = bool(config["in_batch_negatives"])
-    freeze_enc = bool(config["freeze_encoder_stage2"])
+    batch = config["batch"]
 
     model = PSRLModel(seed, patch_size=p)
     enc_paths = model.encoder_paths()
     proj_paths = model.projector_paths()
 
     def step_fn(step: int):
-        if mode == "progressive":
-            stage = 1 if step < s1 else 2
-        elif mode == "stats_only":
-            stage = 1
-        else:
-            stage = 2
-        if mode == "contrastive_only":
-            trainable = enc_paths | proj_paths
-        elif stage == 1:
-            trainable = enc_paths
-        else:
-            trainable = proj_paths if freeze_enc else enc_paths | proj_paths
-        model.params.set_trainable(trainable)
+        stage = 1 if mode == "stats_only" or (mode == "progressive" and step < s1) else 2
+        model.params.set_trainable(enc_paths if stage == 1 else enc_paths | proj_paths)
 
         rng = derive(seed, "psrl-step", step)
-        pairs = _pair_indices(samples, batch, pairing, rng)
+        pairs = _pair_indices(samples, batch, rng)
         xs, ys = [], []
         for i, j in pairs:
             sx = int(rng.integers(0, 2 ** 63))
             sy = int(rng.integers(0, 2 ** 63))
             xs.append(crop_patches(samples[i].pixels, n, p, sx).patches)
             ys.append(crop_patches(samples[j].pixels, n, p, sy).patches)
-        out = psrl_batch_loss(model, np.stack(xs), np.stack(ys), tau, stage, pooled)
+        out = psrl_batch_loss(model, np.stack(xs), np.stack(ys), tau, stage)
         loss = out.l_xy if mode == "contrastive_only" else out.total
 
         def row() -> str:

@@ -9,6 +9,7 @@ config echo carries `opt_step`, so a resumed run continues bit for bit.
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,7 @@ def run_steps(params: ParameterSet, config: dict, seed: int, total_steps: int,
               step_fn: StepFn, resumed: dict | None = None, *, magic: bytes,
               echo: tuple[str, ...], header: str, checkpoint_path=None,
               log_path=None) -> list[str]:
-    """Run steps up to total_steps and return the log rows.
+    """Run steps up to total_steps and return this call's log rows.
 
     With `resumed` (the checkpoint's tensors, `config` being its echo) the
     parameters and Adam moments are restored and training continues from
@@ -35,7 +36,8 @@ def run_steps(params: ParameterSet, config: dict, seed: int, total_steps: int,
     into place, the Adam moments become the loaded arrays themselves, and
     each entry is popped, so the checkpoint is not held twice while
     training. The checkpoint echoes `seed`, the step count, and the `echo`
-    keys of `config`.
+    keys of `config`. A resumed run's log keeps the rows of the file at
+    `log_path` for the steps before the resumed one.
     """
     opt = AdamState(lr=config["lr"])
     start = 0
@@ -60,9 +62,14 @@ def run_steps(params: ParameterSet, config: dict, seed: int, total_steps: int,
         save_training_checkpoint(checkpoint_path, magic, params, opt, dict(
             {key: config[key] for key in echo}, seed=int(seed), step=total_steps))
     if log_path is not None:
+        kept = []
+        if start > 0 and os.path.exists(log_path):
+            with open(log_path, "r", encoding="utf-8") as f:
+                kept = [line for line in f.read().splitlines()[1:]
+                        if int(line.split(",", 1)[0]) < start]
         with open(log_path, "w", encoding="utf-8", newline="\n") as f:
             f.write(header + "\n")
-            for line in rows:
+            for line in kept + rows:
                 f.write(line + "\n")
     return rows
 

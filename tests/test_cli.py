@@ -1,8 +1,11 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from styleinpaint.checkpoint import NSDM_MAGIC, PSRL_MAGIC, load_checkpoint, save_checkpoint
 from styleinpaint.cli import run
 from styleinpaint.config import DEFAULTS, build_config, load_config_file
 from styleinpaint.dataset.io import dataset_read, read_ppm, write_ppm
@@ -98,6 +101,32 @@ class TestConfig:
         assert run(["gen-dataset", "--set", "dataset.mask_lo=0.05"]) == 1
         assert "dataset.mask_lo must lie in" in capsys.readouterr().err
 
+    def test_eval_needs_patches(self, capsys):
+        # scoring embeds k patches per region whatever eval.lam is; at k=0
+        # every task's row used to fail while eval exited 0
+        for lam in ("1", "0"):
+            with pytest.raises(UsageError, match="eval.k must be >= 1"):
+                build_config({"eval.k": "0", "eval.lam": lam})
+        assert build_config({"eval.k": "1"})["eval.k"] == 1
+        assert run(["eval", "--set", "eval.k=0"]) == 1
+        assert "eval.k must be >= 1" in capsys.readouterr().err
+
+    def test_style_fill_needs_patches(self, capsys):
+        # a fill at sample.lam > 0 embeds the context's style from k patches
+        with pytest.raises(UsageError, match=r"sample.lam > 0 needs sample.k >= 1"):
+            build_config({"sample.k": "0"})
+        assert build_config({"sample.k": "0", "sample.lam": "0"})["sample.k"] == 0
+        assert run(["inpaint", "scene.ppm", "8,8,24,24", "disc",
+                    "--set", "sample.k=0"]) == 1
+        assert "sample.k >= 1" in capsys.readouterr().err
+
+    def test_viz_needs_patches(self, capsys):
+        with pytest.raises(UsageError, match="viz.n must be >= 1"):
+            build_config({"viz.n": "0"})
+        assert build_config({"viz.n": "1"})["viz.n"] == 1
+        assert run(["viz", "--set", "viz.n=0"]) == 1
+        assert "viz.n must be >= 1" in capsys.readouterr().err
+
     def test_file_parsing_and_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\n"
@@ -182,6 +211,26 @@ class TestTraining:
         ours = open(f"{out}/psrl.ckpt", "rb").read()
         theirs = open(f"{workspace}/psrl.ckpt", "rb").read()
         assert ours == theirs
+
+    @pytest.mark.parametrize("trainer,magic,short,echo", [
+        ("psrl", PSRL_MAGIC, "psrl.s2=1", {"s2": 3}),
+        ("nsd", NSDM_MAGIC, "nsd.phase_b=1", {"phase_b": 2})], ids=["psrl", "nsd"])
+    def test_resume_keeps_log_history(self, tmp_path, workspace, trainer, magic,
+                                      short, echo):
+        # a run stopped early, its echo set to the full plan, then resumed,
+        # writes the uninterrupted run's checkpoint and log
+        out = tmp_path / "i"
+        out.mkdir()
+        for name in ("dataset.s3im", "psrl.ckpt"):
+            shutil.copy(f"{workspace}/{name}", out)
+        args = [f"train-{trainer}", "--out", str(out), "--seed", "7"] + PSRL + NSD
+        assert run(args + ["--set", short]) == 0
+        ckpt = out / f"{trainer}.ckpt"
+        cfg, tensors = load_checkpoint(ckpt, magic)
+        save_checkpoint(ckpt, magic, dict(cfg, **echo), tensors)
+        assert run(args + ["--resume", str(ckpt)]) == 0
+        for name in (f"{trainer}.ckpt", f"{trainer}_log.csv"):
+            assert (out / name).read_bytes() == open(f"{workspace}/{name}", "rb").read(), name
 
     def test_mode_flag(self, tmp_path):
         out = str(tmp_path / "m")

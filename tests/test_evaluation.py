@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from styleinpaint import evaluation
 from styleinpaint.dataset import generate_dataset
 from styleinpaint.dataset.io import DatasetSample
 from styleinpaint.dataset.scenes import crop_patches, mask_from_rect
@@ -13,9 +14,10 @@ from styleinpaint.diffusion.train import NSDModel
 from styleinpaint.evaluation import (REPORT_HEADER, clustering_stats,
                                      export_projection, psnr_unmasked,
                                      run_benchmark, style_cosine_between,
-                                     style_cosine_consistency, write_report)
+                                     style_cosines, write_report)
 from styleinpaint.psrl.model import PSRLModel
 from styleinpaint.psrl.train import train_psrl
+from styleinpaint.rng import derive
 
 from configs import eval_config, full_config
 from oracles import pca_loops, psnr_loops, silhouette_loops
@@ -31,17 +33,22 @@ def scene_samples():
     return generate_dataset(11, count=6, n_styles=3, size=64)
 
 
+def self_cosine(image, mask, encoder, k, seed, foreign):
+    """style_cosines' same-scene score, seeded as run_benchmark seeds task 0."""
+    return style_cosines(image, mask, foreign, encoder, k, derive(seed, "eval-embed", 0))[0]
+
+
 class TestStyleCosine:
-    def test_identical_embeddings_score_one(self, encoder):
+    def test_identical_embeddings_score_one(self, encoder, scene_samples):
         img = np.full((64, 64, 3), 0.5, np.float32)
         mask = mask_from_rect(img, (8, 8, 24, 24)).mask
-        score = style_cosine_consistency(img, mask, encoder, k=3, seed=0)
+        score = self_cosine(img, mask, encoder, 3, 0, scene_samples[0])
         assert score == pytest.approx(1.0, abs=1e-5)
 
     def test_verbatim_copy_matches_intra_baseline(self, encoder, scene_samples):
         s = scene_samples[0]
         mask = mask_from_rect(s.pixels, s.mask_rect).mask
-        score = style_cosine_consistency(s.pixels, mask, encoder, k=4, seed=3)
+        score = self_cosine(s.pixels, mask, encoder, 4, 3, scene_samples[1])
         ps = crop_patches(s.pixels, 8, 16, 77, allowed=mask == 0)
         ctx = encoder.embed_patches(ps.patches)
         baseline = style_cosine_between(ctx[:4], ctx[4:])
@@ -61,21 +68,21 @@ class TestStyleCosine:
     def test_deterministic(self, encoder, scene_samples):
         s = scene_samples[1]
         mask = mask_from_rect(s.pixels, s.mask_rect).mask
-        one = style_cosine_consistency(s.pixels, mask, encoder, k=4, seed=9)
-        two = style_cosine_consistency(s.pixels, mask, encoder, k=4, seed=9)
+        one = style_cosines(s.pixels, mask, scene_samples[2], encoder, 4, derive(9, "e"))
+        two = style_cosines(s.pixels, mask, scene_samples[2], encoder, 4, derive(9, "e"))
         assert one == two
 
-    def test_mask_too_small(self, encoder):
+    def test_mask_too_small(self, encoder, scene_samples):
         img = np.zeros((64, 64, 3), np.float32)
         mask = mask_from_rect(img, (4, 4, 8, 8)).mask
         with pytest.raises(ValueError, match="mask too small"):
-            style_cosine_consistency(img, mask, encoder, k=2, seed=0)
+            self_cosine(img, mask, encoder, 2, 0, scene_samples[0])
 
-    def test_mask_too_large(self, encoder):
+    def test_mask_too_large(self, encoder, scene_samples):
         img = np.zeros((64, 64, 3), np.float32)
         mask = mask_from_rect(img, (4, 4, 56, 56)).mask
-        with pytest.raises(ValueError, match="mask too large"):
-            style_cosine_consistency(img, mask, encoder, k=2, seed=0)
+        with pytest.raises(ValueError, match="cannot place 2 disjoint patches"):
+            self_cosine(img, mask, encoder, 2, 0, scene_samples[0])
 
     def test_foreign_fill_scores_below_verbatim(self, scene_samples):
         model, _ = train_psrl(scene_samples,
@@ -85,11 +92,11 @@ class TestStyleCosine:
         assert foreign.style_id != s.style_id
         rect = s.mask_rect
         mask = mask_from_rect(s.pixels, rect).mask
-        self_score = style_cosine_consistency(s.pixels, mask, model, k=6, seed=5)
+        self_score = self_cosine(s.pixels, mask, model, 6, 5, foreign)
         x, y, w, h = rect
         filled = s.pixels.copy()
         filled[y:y + h, x:x + w] = foreign.pixels[y:y + h, x:x + w]
-        foreign_score = style_cosine_consistency(filled, mask, model, k=6, seed=5)
+        foreign_score = self_cosine(filled, mask, model, 6, 5, foreign)
         assert foreign_score < self_score
 
 
@@ -295,6 +302,26 @@ class TestRunBenchmark:
         assert report.rows[0].status != "ok"
         assert report.rows[0].psnr_db is None
         assert sum(r.status == "ok" for r in report.rows) == 2
+
+    def test_row_is_style_cosines_of_the_composite(self, bench_setup, monkeypatch):
+        model, psrl, samples = bench_setup
+        inner, fills = evaluation.sample_inpaint, []
+
+        def keep(*args, **kwargs):
+            fills.append(inner(*args, **kwargs))
+            return fills[-1]
+
+        monkeypatch.setattr(evaluation, "sample_inpaint", keep)
+        report = run_benchmark(model, psrl, samples, self.CFG)
+        for i, row in enumerate(report.rows):
+            s = samples[i]
+            mask = mask_from_rect(s.pixels, s.mask_rect).mask
+            composite = np.where(mask[..., None] > 0, fills[i], s.pixels)
+            foreign = next(f for f in samples[i + 1:] + samples if f.style_id != s.style_id)
+            got = style_cosines(composite, mask, foreign, psrl, self.CFG["k"],
+                                derive(self.CFG["seed"], "eval-embed", i))
+            assert row.status == "ok"
+            assert (row.style_cos_self, row.style_cos_foreign) == got
 
     def test_paste_background_hits_cap(self, bench_setup):
         model, psrl, samples = bench_setup

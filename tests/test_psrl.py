@@ -224,30 +224,15 @@ class TestContrastiveLoss:
 
 class TestBatchLoss:
     def test_lxy_matches_enumeration_oracle(self):
+        # with two image pairs, each anchor's negatives are its own partner's
+        # patches only, so the batch loss is the mean of the per-pair losses
         rng = np.random.default_rng(10)
-        for n in (2, 4):
-            ex = unit_rows(rng, n)
-            ey = unit_rows(rng, n)
-            got = style_contrastive_loss(Tensor(ex[None]), Tensor(ey[None]), tau=0.07).item()
-            want = oracles.lxy_loops(ex, ey, tau=0.07)
+        for b, n in ((1, 2), (1, 4), (2, 3)):
+            ex = np.stack([unit_rows(rng, n) for _ in range(b)])
+            ey = np.stack([unit_rows(rng, n) for _ in range(b)])
+            got = style_contrastive_loss(Tensor(ex), Tensor(ey), tau=0.07).item()
+            want = np.mean([oracles.lxy_loops(ex[i], ey[i], tau=0.07) for i in range(b)])
             assert abs(got - want) < 1e-9
-
-    def test_lxy_pooled_negatives_two_pairs(self):
-        rng = np.random.default_rng(11)
-        ex = np.stack([unit_rows(rng, 3), unit_rows(rng, 3)])
-        ey = np.stack([unit_rows(rng, 3), unit_rows(rng, 3)])
-        got = style_contrastive_loss(Tensor(ex), Tensor(ey), tau=0.07,
-                                     pooled_negatives=True).item()
-        # oracle: negatives for every anchor are all 6 rows of the other set
-        total = 0.0
-        for b in range(2):
-            for a_set, n_all in ((ex[b], ey.reshape(-1, 64)), (ey[b], ex.reshape(-1, 64))):
-                for i in range(3):
-                    for j in range(3):
-                        if i != j:
-                            total += oracles.nce_term_loops(a_set[i], a_set[j], n_all, 0.07)
-        want = total / (2 * 2 * 3 * 2)
-        assert abs(got - want) < 1e-9
 
     def test_coincident_embeddings_terms_hit_uniform_limit(self):
         model = PSRLModel(12)
@@ -332,25 +317,48 @@ class TestTraining:
         with pytest.raises(DataError, match="at least 2 styles"):
             train_psrl(samples, full_config("psrl", s1=1, s2=0), seed=0)
 
-    def test_resume_bit_exact(self, tmp_path):
+    # the pairing, pooled-negative and frozen-encoder options are gone;
+    # checkpoints written while they existed echo them
+    OLD_ECHO = {"pairing": "distinct_style", "in_batch_negatives": 0,
+                "freeze_encoder_stage2": 0}
+
+    def _half_checkpoint(self, samples, path, **echo):
+        """Interrupt emulation: train the first 3 steps, checkpoint, then
+        rewrite the schedule echo to the full 3+3 plan."""
         from styleinpaint.checkpoint import PSRL_MAGIC, load_checkpoint, save_checkpoint
 
+        train_psrl(samples, full_config("psrl", s1=3, s2=0, batch=2, n=4), seed=3,
+                   checkpoint_path=path)
+        cfg, tensors = load_checkpoint(path, PSRL_MAGIC)
+        save_checkpoint(path, PSRL_MAGIC, dict(cfg, step=3, s1=3, s2=3, **echo), tensors)
+
+    def _assert_resume_exact(self, tmp_path, **echo):
         samples = self._data()
         full, _ = train_psrl(samples, full_config("psrl", s1=3, s2=3, batch=2, n=4), seed=3)
-
-        # interrupt emulation: train the first 3 steps, checkpoint, then
-        # rewrite the schedule echo to the full 3+3 plan and resume from it
         ck = tmp_path / "half.ckpt"
-        train_psrl(samples, full_config("psrl", s1=3, s2=0, batch=2, n=4), seed=3,
-                   checkpoint_path=ck)
-        cfg, tensors = load_checkpoint(ck, PSRL_MAGIC)
-        cfg.update(step=3, s1=3, s2=3)
-        save_checkpoint(ck, PSRL_MAGIC, cfg, tensors)
-
+        self._half_checkpoint(samples, ck, **echo)
         resumed, _ = train_psrl(samples, {}, seed=3, resume=ck)
         for name, t in full.params.items():
             np.testing.assert_array_equal(t.data, resumed.params[name].data,
                                           err_msg=f"parameter {name} differs after resume")
+
+    def test_resume_bit_exact(self, tmp_path):
+        self._assert_resume_exact(tmp_path)
+
+    def test_resume_old_echo_at_kept_values(self, tmp_path):
+        self._assert_resume_exact(tmp_path, **self.OLD_ECHO)
+
+    @pytest.mark.parametrize("key,value", [("pairing", "distinct_image"),
+                                           ("in_batch_negatives", 1),
+                                           ("freeze_encoder_stage2", 1)])
+    def test_resume_rejects_removed_option(self, tmp_path, key, value):
+        from styleinpaint.errors import UsageError
+
+        samples = self._data()
+        ck = tmp_path / "half.ckpt"
+        self._half_checkpoint(samples, ck, **dict(self.OLD_ECHO, **{key: value}))
+        with pytest.raises(UsageError, match=rf"psrl\.{key}={value!r}"):
+            train_psrl(samples, {}, seed=3, resume=ck)
 
     def test_checkpoint_round_trip(self, tmp_path):
         samples = self._data()
