@@ -10,6 +10,7 @@ ride along under an "opt." path prefix, which makes resume exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -21,20 +22,29 @@ NSDM_MAGIC = b"NSDM0001"
 
 
 def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
+    """Write through `<path>.tmp` and rename it onto `path`, so a save that
+    fails or is killed part-way leaves any previous checkpoint there whole."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-            enc = name.encode("utf-8")
-            f.write(struct.pack("<H", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(magic)
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+                enc = name.encode("utf-8")
+                f.write(struct.pack("<H", len(enc)))
+                f.write(enc)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, magic: bytes) -> tuple[dict, dict]:

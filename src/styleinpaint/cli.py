@@ -114,8 +114,6 @@ def _load_nsd(path) -> NSDModel:
 
 
 def cmd_gen_dataset(cfg: dict) -> list[str]:
-    if cfg["dataset.count"] > 0 and cfg["dataset.styles"] < 1:
-        raise UsageError("dataset.styles must be >= 1 when dataset.count > 0")
     samples = generate_dataset(cfg["seed"], cfg["dataset.count"],
                                cfg["dataset.styles"], cfg["dataset.size"],
                                cfg["dataset.mask_lo"], cfg["dataset.mask_hi"])
@@ -199,6 +197,10 @@ def cmd_inpaint(cfg: dict, image_path: str, mask_spec: str,
 
 def cmd_eval(cfg: dict) -> list[str]:
     model = _load_nsd(_artifact(cfg, cfg["nsd.checkpoint"]))
+    if cfg["eval.count"] > 0 and cfg["eval.steps"] > model.schedule.T:
+        # every task would fail alike, so stop before sampling any of them
+        raise UsageError(f"eval.steps={cfg['eval.steps']} exceeds the checkpoint's "
+                         f"T={model.schedule.T} denoising steps")
     psrl = _load_psrl(_artifact(cfg, cfg["psrl.checkpoint"]))
     # Held-out tasks continue the training sequence past dataset.count, so
     # they are unseen images drawn from the same style population.

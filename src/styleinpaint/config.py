@@ -121,6 +121,11 @@ def validate_config(cfg: dict) -> None:
                 "sample.k", "eval.count", "eval.steps", "viz.count"):
         if cfg[key] < 0:
             raise UsageError(f"{key} must be >= 0")
+    if cfg["dataset.styles"] < 1 and cfg["dataset.count"] + cfg["eval.count"] > 0:
+        # scenes cycle through the styles: gen-dataset renders dataset.count
+        # of them, eval dataset.count + eval.count
+        raise UsageError("dataset.styles must be >= 1 when dataset.count or "
+                         "eval.count is > 0")
     if cfg["dataset.size"] % 4 != 0 or cfg["dataset.size"] <= 0:
         raise UsageError("dataset.size must be a positive multiple of 4")
     if not cfg["dataset.mask_lo"] <= cfg["dataset.mask_hi"]:

@@ -7,8 +7,7 @@ from .io import DatasetSample, dataset_read, dataset_write, read_ppm, write_ppm
 from .scenes import (MaskSpec, PatchSet, SceneImage, VOCAB, caption_of,
                      crop_patches, make_mask, mask_from_rect, pattern_field,
                      place_disjoint, render_scene, valid_topleft)
-from .styles import (FAMILIES, StyleParams, palette_distance, sample_style,
-                     style_from_id)
+from .styles import FAMILIES, StyleParams, style_from_id
 
 
 def generate_dataset(seed: int, count: int, n_styles: int, size: int = 64,

@@ -7,7 +7,7 @@ Semantics (shapes) vary within a scene; style does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class SceneImage:
 
 @dataclass
 class PatchSet:
-    image_id: int
     patches: np.ndarray  # [N, P, P, 3] float32
     coordinates: np.ndarray  # [N, 2] top-left (row, col)
 
@@ -43,7 +42,6 @@ class PatchSet:
 @dataclass
 class MaskSpec:
     mask: np.ndarray  # [H, W] float32, 1 = region to generate
-    masked: np.ndarray  # [H, W, 3] image * (1 - mask)
     rect: tuple  # (x, y, w, h) with x = column, y = row
 
 
@@ -188,7 +186,7 @@ def make_mask(image: SceneImage | np.ndarray, fraction: float, rng_seed: int) ->
         y = int(rng.integers(1, h - mh))
         mask = np.zeros((h, w), dtype=np.float32)
         mask[y:y + mh, x:x + mw] = 1.0
-        return MaskSpec(mask, pixels * (1.0 - mask[..., None]), (x, y, mw, mh))
+        return MaskSpec(mask, (x, y, mw, mh))
     raise ValueError(f"could not realize mask fraction {fraction}")
 
 
@@ -199,7 +197,7 @@ def mask_from_rect(pixels: np.ndarray, rect: tuple) -> MaskSpec:
         raise ValueError(f"mask rect {rect} does not fit a {h}x{w} image")
     mask = np.zeros((h, w), dtype=np.float32)
     mask[y:y + mh, x:x + mw] = 1.0
-    return MaskSpec(mask, pixels * (1.0 - mask[..., None]), (int(x), int(y), int(mw), int(mh)))
+    return MaskSpec(mask, (int(x), int(y), int(mw), int(mh)))
 
 
 def window_counts(allowed: np.ndarray, p: int) -> np.ndarray:
@@ -278,11 +276,11 @@ def place_disjoint(positions: np.ndarray, p: int, n: int, rng: np.random.Generat
     return positions[picked].astype(np.int64)
 
 
-def crop_patches(image: SceneImage | np.ndarray, n: int, p: int, rng_seed: int,
-                 image_id: int = -1, allowed: np.ndarray | None = None) -> PatchSet:
-    """n pairwise-disjoint p x p crops, optionally restricted to an allowed
-    pixel region (every crop pixel must be allowed); placed per seed by `place_disjoint`."""
-    pixels = image.pixels if isinstance(image, SceneImage) else np.asarray(image)
+def crop_patches(pixels: np.ndarray, n: int, p: int, rng_seed: int,
+                 allowed: np.ndarray | None = None) -> PatchSet:
+    """n pairwise-disjoint p x p crops of [H, W, 3] pixels, optionally
+    restricted to an allowed pixel region (every crop pixel must be allowed);
+    placed per seed by `place_disjoint`."""
     h, w = pixels.shape[:2]
     if n * p * p > h * w:
         raise ValueError(f"cannot place {n} disjoint patches")
@@ -293,4 +291,4 @@ def crop_patches(image: SceneImage | np.ndarray, n: int, p: int, rng_seed: int,
     rng = derive(rng_seed, "crop")
     coords = place_disjoint(positions, p, n, rng)
     patches = np.stack([pixels[r:r + p, c:c + p] for r, c in coords])
-    return PatchSet(image_id, patches.astype(np.float32), coords)
+    return PatchSet(patches.astype(np.float32), coords)

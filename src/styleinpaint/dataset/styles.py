@@ -55,17 +55,6 @@ def style_from_id(style_id: int) -> StyleParams:
     return StyleParams(palette, family, frequency, orientation, style_id)
 
 
-def sample_style(rng_seed: int) -> StyleParams:
-    """Uniformly drawn style; families are equally likely across seeds."""
-    rng = derive(rng_seed, "sample-style")
-    return style_from_id(int(rng.integers(0, N_STYLE_IDS)))
-
-
-def palette_distance(a: StyleParams, b: StyleParams) -> float:
-    """L2 distance between the two 9-dimensional flattened palettes."""
-    return float(np.linalg.norm(a.palette.reshape(-1) - b.palette.reshape(-1)))
-
-
 def noise_lattice(style_id: int, size: int = 16) -> np.ndarray:
     """Periodic value grid driving the value-noise family."""
     return derive(style_id, "noise-lattice").uniform(0.0, 1.0, (size, size))

@@ -18,7 +18,6 @@ class NoiseSchedule:
     T: int
     alpha: np.ndarray  # [T] signal coefficients, float64
     sigma: np.ndarray  # [T] noise coefficients, float64
-    kind: str
 
 
 def build_schedule(T: int, kind: str = "cosine") -> NoiseSchedule:
@@ -38,7 +37,7 @@ def build_schedule(T: int, kind: str = "cosine") -> NoiseSchedule:
         raise ValueError(f"unknown schedule kind '{kind}'")
     alpha = np.sqrt(alpha_sq)
     sigma = np.sqrt(1.0 - alpha_sq)
-    return NoiseSchedule(T, alpha, sigma, kind)
+    return NoiseSchedule(T, alpha, sigma)
 
 
 def forward_noise(x0: np.ndarray, t: int | np.ndarray, eps: np.ndarray,

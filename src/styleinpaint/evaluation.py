@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class TaskRecord:
 class EvalReport:
     rows: list[TaskRecord]
     aggregates: dict
-    config: dict = field(default_factory=dict)
 
 
 def _region_embeddings(image: np.ndarray, allowed: np.ndarray, k: int, seed: int,
@@ -215,13 +214,14 @@ def run_benchmark(model, psrl: PSRLModel, dataset: list[DatasetSample],
         aggregates["mean_psnr_db"] = float(np.mean([r.psnr_db for r in ok]))
         aggregates["win_rate"] = float(np.mean([r.style_cos_self > r.style_cos_foreign
                                                 for r in ok]))
-    return EvalReport(rows, aggregates, dict(config))
+    return EvalReport(rows, aggregates)
 
 
 REPORT_HEADER = "task_id,style_cos_self,style_cos_foreign,psnr_db,status"
 
 
-def write_report(report: EvalReport, csv_path, summary_path=None) -> None:
+def write_report(report: EvalReport, csv_path, summary_path) -> None:
+    """The per-task rows as CSV and the aggregates as sorted key=value lines."""
     def fmt(v):
         return "" if v is None else f"{v:.6f}"
 
@@ -230,7 +230,6 @@ def write_report(report: EvalReport, csv_path, summary_path=None) -> None:
         for r in report.rows:
             f.write(f"{r.task_id},{fmt(r.style_cos_self)},{fmt(r.style_cos_foreign)},"
                     f"{fmt(r.psnr_db)},{r.status}\n")
-    if summary_path is not None:
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as f:
-            for key in sorted(report.aggregates):
-                f.write(f"{key}={report.aggregates[key]}\n")
+    with open(summary_path, "w", encoding="utf-8", newline="\n") as f:
+        for key in sorted(report.aggregates):
+            f.write(f"{key}={report.aggregates[key]}\n")

@@ -6,7 +6,8 @@ rebuilds the columns from the saved padded input (cheaper than holding them)
 for dW and scatters dX back through one add per kernel tap.
 
 scaled_dot_attention is one tape node that keeps only the softmax P of its
-scores, and gives the bits of the matmul/mul/softmax chain it replaces.
+scores, and gives the bits of the matmul/mul/softmax chain it replaces (that
+chain is kept as a test oracle, tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 0.0) -> Tensor:
+def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     """Scale rows to unit L2 norm. Raises on an exactly-zero row."""
     sq = T.tsum(T.mul(x, x), axis=axis, keepdims=True)
     if np.any(sq.data <= 0):
         raise ValueError("degenerate zero embedding cannot be normalized")
-    return T.div(x, T.sqrt(sq if eps == 0.0 else T.add(sq, eps)))
+    return T.div(x, T.sqrt(sq))
 
 
 def channel_mean_std(x: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:

@@ -445,20 +445,6 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max-subtraction before exponentiation)."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, (g - dot) * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Stable log-sum-exp; gradient is the softmax of the inputs."""
     a = _as_tensor(a)

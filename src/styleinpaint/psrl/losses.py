@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import (Tensor, add, concat, div, logaddexp, logsumexp, matmul,
-                  mul, relu, reshape, sub, tmean, transpose, tsum)
-from .model import PSRLModel, StyleFeature
+from ..nn import (Tensor, add, div, logaddexp, logsumexp, matmul, mul, relu,
+                  reshape, sub, tmean, transpose, tsum)
+from .model import PSRLModel
 
 _NORM_FLOOR = 1e-24
 # lower bound on the X-to-Y distance that divides L_x / L_y; a fresh encoder
@@ -38,15 +38,9 @@ def _safe_norm(sumsq: Tensor) -> Tensor:
     return _floored(sumsq, _NORM_FLOOR) ** 0.5
 
 
-def stats_loss(f_i: StyleFeature, f_j: StyleFeature) -> Tensor:
-    """||mu_i - mu_j||_2 + ||sigma_i - sigma_j||_2 for one feature pair."""
-    dmu = sub(f_i.mu, f_j.mu)
-    dsg = sub(f_i.sigma, f_j.sigma)
-    return add(_safe_norm(tsum(mul(dmu, dmu))), _safe_norm(tsum(mul(dsg, dsg))))
-
-
 def _pairwise_stats_mean(mu: Tensor, sigma: Tensor) -> Tensor:
-    """Mean stats_loss over unordered patch pairs; mu/sigma are [..., N, C]."""
+    """Mean ||mu_i - mu_j|| + ||sigma_i - sigma_j|| over unordered patch
+    pairs (i, j); mu/sigma are [..., N, C]. The numerator of L_x and L_y."""
     n = mu.shape[-2]
     total = None
     for part in (mu, sigma):
@@ -63,8 +57,8 @@ def _pairwise_stats_mean(mu: Tensor, sigma: Tensor) -> Tensor:
 
 def _cross_stats_mean(mu_x: Tensor, sigma_x: Tensor, mu_y: Tensor,
                       sigma_y: Tensor) -> Tensor:
-    """Mean stats_loss over every (X patch, Y patch) pair of each image
-    pair; inputs are [B, N, C]."""
+    """Mean ||mu_x - mu_y|| + ||sigma_x - sigma_y|| over every (X patch,
+    Y patch) pair of each image pair; inputs are [B, N, C]."""
     b, n, c = mu_x.shape
     total = None
     for px, py in ((mu_x, mu_y), (sigma_x, sigma_y)):
@@ -72,28 +66,6 @@ def _cross_stats_mean(mu_x: Tensor, sigma_x: Tensor, mu_y: Tensor,
         part = tmean(_safe_norm(tsum(mul(d, d), axis=-1)))  # over [B, N, N]
         total = part if total is None else add(total, part)
     return total
-
-
-def intra_image_stats_loss(feature: StyleFeature) -> Tensor:
-    """Mean pair distance of one [N, C] patch set's statistics: the
-    numerator of L_x, which psrl_batch_loss divides by the X-to-Y distance."""
-    if feature.mu.shape[0] < 2:
-        raise ValueError("intra-image statistics loss needs at least 2 patches")
-    return _pairwise_stats_mean(feature.mu, feature.sigma)
-
-
-def contrastive_loss(anchor, positive, negatives, tau: float = 0.07) -> Tensor:
-    """-log exp(a.p/tau) / (exp(a.p/tau) + sum_k exp(a.n_k/tau))."""
-    anchor = anchor if isinstance(anchor, Tensor) else Tensor(anchor)
-    positive = positive if isinstance(positive, Tensor) else Tensor(positive)
-    negatives = negatives if isinstance(negatives, Tensor) else Tensor(np.asarray(negatives))
-    if negatives.shape[0] == 0:
-        raise ValueError("contrastive loss requires at least one negative")
-    d = anchor.shape[0]
-    ap = tsum(mul(anchor, positive))
-    an = reshape(matmul(negatives, reshape(anchor, (d, 1))), (negatives.shape[0],))
-    logits = div(concat([reshape(ap, (1,)), an], axis=0), tau)
-    return sub(logsumexp(logits, axis=0), div(ap, tau))
 
 
 def _directed_nce(anchors: Tensor, mates: Tensor, negatives: Tensor, tau: float) -> Tensor:

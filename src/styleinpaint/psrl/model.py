@@ -130,9 +130,9 @@ class PSRLModel:
         return model, config
 
 
-def _least_masked_windows(allowed, shape, k: int, p: int) -> list[tuple[int, int]]:
+def _least_masked_windows(allowed: np.ndarray, k: int, p: int) -> list[tuple[int, int]]:
     """k window top-lefts ranked by unmasked coverage, disjoint where possible."""
-    counts = window_counts(np.ones(shape, dtype=bool) if allowed is None else allowed, p)
+    counts = window_counts(allowed, p)
     order = np.argsort(-counts, axis=None, kind="stable")
     ranked = np.stack(np.unravel_index(order, counts.shape), axis=1)
     picked = first_fit(ranked, p, k)
@@ -141,11 +141,12 @@ def _least_masked_windows(allowed, shape, k: int, p: int) -> list[tuple[int, int
     return [(int(r), int(c)) for r, c in ranked[picked]]
 
 
-def embed_style(model: PSRLModel, pixels: np.ndarray, mask: np.ndarray | None,
+def embed_style(model: PSRLModel, pixels: np.ndarray, mask: np.ndarray,
                 k: int, rng_seed: int, use_projector: bool = True) -> np.ndarray:
     """k patch embeddings from the unmasked region plus their re-normalized
     mean as token 0; deterministic per seed. Returns [k+1, d]. `mask` is
-    [H, W] with 1 marking the region to fill, or None.
+    [H, W] with 1 marking the region to fill; an all-zero mask leaves the
+    whole image as context.
 
     Prefers pairwise-disjoint, fully unmasked patches. When the mask is too
     tight for that, falls back to the least-masked windows of the background
@@ -157,14 +158,12 @@ def embed_style(model: PSRLModel, pixels: np.ndarray, mask: np.ndarray | None,
     if pix.shape[0] < p or pix.shape[1] < p:
         raise ValueError(f"image {pix.shape[0]}x{pix.shape[1]} below the "
                          f"{p}-pixel patch size")
-    allowed = None
-    if mask is not None and mask.sum() > 0:
-        allowed = mask == 0
+    allowed = mask == 0
     try:
         patches = crop_patches(pix, k, p, rng_seed, allowed=allowed).patches
     except ValueError:
-        coords = _least_masked_windows(allowed, pix.shape[:2], k, p)
-        source = pix if mask is None else pix * (1.0 - mask[..., None])
+        coords = _least_masked_windows(allowed, k, p)
+        source = pix * (1.0 - mask[..., None])
         patches = np.stack([source[r:r + p, c:c + p] for r, c in coords])
         patches = patches.astype(np.float32)
     emb = model.embed_patches(patches, use_projector=use_projector)

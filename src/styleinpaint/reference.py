@@ -54,7 +54,8 @@ class ReferenceNet:
 
 
 def build_ref_input(x_t: np.ndarray, x_mask: np.ndarray, x_m: np.ndarray) -> np.ndarray:
-    """Stack (x_t, x_mask, x_m) into [B,7,H,W]; mask resized nearest if needed."""
+    """Stack (x_t, x_mask, x_m) into [B,7,H,W]. Images are [B,3,H,W] or
+    [3,H,W]; the mask is [B,1,H,W], [B,H,W] or [H,W], at the image's size."""
     x_t = np.asarray(x_t, np.float32)
     x_mask = np.asarray(x_mask, np.float32)
     x_m = np.asarray(x_m, np.float32)
@@ -66,13 +67,7 @@ def build_ref_input(x_t: np.ndarray, x_mask: np.ndarray, x_m: np.ndarray) -> np.
         x_m = x_m[None, None]
     elif x_m.ndim == 3:
         x_m = x_m[:, None]
-    H, W = x_t.shape[2], x_t.shape[3]
-    if x_m.shape[2:] != (H, W):
-        mh, mw = x_m.shape[2], x_m.shape[3]
-        rows = (np.arange(H) * mh // H).clip(0, mh - 1)
-        cols = (np.arange(W) * mw // W).clip(0, mw - 1)
-        x_m = x_m[:, :, rows][:, :, :, cols]
-    if x_mask.shape != x_t.shape or x_m.shape[2:] != (H, W):
+    if x_mask.shape != x_t.shape or x_m.shape[2:] != x_t.shape[2:]:
         raise ValueError(f"reference input shapes disagree: x_t {x_t.shape}, "
                          f"x_mask {x_mask.shape}, x_m {x_m.shape}")
     return np.concatenate([x_t, x_mask, x_m], axis=1)

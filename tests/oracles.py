@@ -3,8 +3,10 @@
 Everything here is written as plain loops over numpy scalars (or direct
 transcriptions of textbook formulas) and is deliberately independent of the
 package's vectorized code paths. Tests compare the fast implementations
-against these. The one exception is scaled_dot_attention_tape, the chain of
-generic tape nodes whose bits the fused attention node must reproduce.
+against these. The exceptions are built from tape nodes: softmax and
+scaled_dot_attention_tape, the chain whose bits the fused attention node must
+reproduce, and the single-pair losses stats_loss and contrastive_loss, which
+the batched PSRL losses are checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import math
 
 import numpy as np
 
+from styleinpaint.nn import (Tensor, add, concat, div, logsumexp, matmul, mul,
+                             reshape, sub, tsum)
 from styleinpaint.nn import tensor as T
+from styleinpaint.nn.tensor import _accum, _as_tensor, _node
+from styleinpaint.psrl.losses import _safe_norm
+from styleinpaint.psrl.model import StyleFeature
 
 
 def conv2d_loops(x, w, b=None, stride=1, padding=1, pad_mode="zeros"):
@@ -79,6 +86,20 @@ def attention_loops(q, k, v):
     return out
 
 
+def softmax(a, axis: int = -1) -> Tensor:
+    """Numerically stable softmax (max-subtraction before exponentiation)."""
+    a = _as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        _accum(a, (g - dot) * out_data)
+
+    return _node(out_data, (a,), backward)
+
+
 def scaled_dot_attention_tape(q, k, v):
     """softmax(q k^T / sqrt(d)) v composed from generic tape nodes.
 
@@ -90,7 +111,7 @@ def scaled_dot_attention_tape(q, k, v):
         raise ValueError("attention over an empty key sequence")
     d = q.shape[-1]
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    return T.matmul(softmax(scores, axis=-1), v)
 
 
 def mean_std_loops(x, eps=1e-5):
@@ -107,6 +128,27 @@ def mean_std_loops(x, eps=1e-5):
             mu[n, c] = m
             sigma[n, c] = math.sqrt(var + eps)
     return mu, sigma
+
+
+def stats_loss(f_i: StyleFeature, f_j: StyleFeature) -> Tensor:
+    """||mu_i - mu_j||_2 + ||sigma_i - sigma_j||_2 for one feature pair."""
+    dmu = sub(f_i.mu, f_j.mu)
+    dsg = sub(f_i.sigma, f_j.sigma)
+    return add(_safe_norm(tsum(mul(dmu, dmu))), _safe_norm(tsum(mul(dsg, dsg))))
+
+
+def contrastive_loss(anchor, positive, negatives, tau: float = 0.07) -> Tensor:
+    """-log exp(a.p/tau) / (exp(a.p/tau) + sum_k exp(a.n_k/tau))."""
+    anchor = anchor if isinstance(anchor, Tensor) else Tensor(anchor)
+    positive = positive if isinstance(positive, Tensor) else Tensor(positive)
+    negatives = negatives if isinstance(negatives, Tensor) else Tensor(np.asarray(negatives))
+    if negatives.shape[0] == 0:
+        raise ValueError("contrastive loss requires at least one negative")
+    d = anchor.shape[0]
+    ap = tsum(mul(anchor, positive))
+    an = reshape(matmul(negatives, reshape(anchor, (d, 1))), (negatives.shape[0],))
+    logits = div(concat([reshape(ap, (1,)), an], axis=0), tau)
+    return sub(logsumexp(logits, axis=0), div(ap, tau))
 
 
 def nce_term_loops(anchor, positive, negatives, tau=0.07):

@@ -1,0 +1,67 @@
+"""Run the two artefact recipes and print the sha256 prefix of every artefact.
+
+Recipe 1 is criterion 10's pipeline (gen-dataset through viz at seed 13 on its
+SMOKE config) with dataset.count=6, dataset.styles=3 and eval.count=6. Recipe 2
+is recipe 1 plus psrl.mode=contrastive_only, nsd.kind=linear and nsd.lam=0.5.
+A change that keeps the artefacts byte-identical prints the same prefixes
+before and after it. Each recipe runs in its own temporary directory.
+
+Not a test module (pytest does not collect it). From the repository root:
+
+    PYTHONPATH=src python tests/recipes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from styleinpaint.cli import run
+from styleinpaint.dataset.io import dataset_read, write_ppm
+from test_acceptance import SMOKE
+
+RECIPE_1 = ["dataset.count=6", "dataset.styles=3", "eval.count=6"]
+RECIPES = {
+    1: RECIPE_1,
+    2: RECIPE_1 + ["psrl.mode=contrastive_only", "nsd.kind=linear", "nsd.lam=0.5"],
+}
+ARTEFACTS = ["dataset.s3im", "dataset.s3im.manifest.txt", "psrl.ckpt",
+             "psrl_log.csv", "nsd.ckpt", "nsd_log.csv", "inpaint.ppm",
+             "report.csv", "summary.txt", "projection.csv"]
+
+
+def artefact_prefixes(overrides: list[str]) -> list[str]:
+    """16-hex-digit sha256 prefixes of ARTEFACTS after one pipeline run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        base = ["--out", out, "--seed", "13"] + SMOKE
+        for item in overrides:
+            base += ["--set", item]
+        scene = os.path.join(tmp, "scene.ppm")
+        commands = [["gen-dataset"], ["train-psrl"], ["train-nsd"],
+                    ["inpaint", scene, "8,8,24,24", "disc red stripes"],
+                    ["eval"], ["viz"]]
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run(command + base)
+            if code != 0:
+                raise SystemExit(f"{command[0]} exited {code}")
+            if command[0] == "gen-dataset":
+                write_ppm(dataset_read(os.path.join(out, "dataset.s3im"))[0].pixels, scene)
+        prefixes = []
+        for name in ARTEFACTS:
+            with open(os.path.join(out, name), "rb") as f:
+                prefixes.append(hashlib.sha256(f.read()).hexdigest()[:16])
+        return prefixes
+
+
+def main() -> None:
+    for number, overrides in RECIPES.items():
+        print(f"recipe {number}: " + ", ".join(artefact_prefixes(overrides)))
+
+
+if __name__ == "__main__":
+    main()

@@ -127,6 +127,17 @@ class TestConfig:
         assert run(["viz", "--set", "viz.n=0"]) == 1
         assert "viz.n must be >= 1" in capsys.readouterr().err
 
+    def test_scenes_need_a_style(self, workspace, capsys):
+        # scenes cycle through dataset.styles, so at 0 eval must stop before
+        # it loads a model, not die in generate_dataset dividing by zero
+        for count in ({}, {"dataset.count": "0"}, {"eval.count": "0"}):
+            with pytest.raises(UsageError, match="dataset.styles must be >= 1"):
+                build_config({"dataset.styles": "0", **count})
+        none = {"dataset.styles": "0", "dataset.count": "0", "eval.count": "0"}
+        assert build_config(none)["dataset.styles"] == 0
+        assert run(["eval", "--out", workspace, "--set", "dataset.styles=0"]) == 1
+        assert "dataset.styles must be >= 1" in capsys.readouterr().err
+
     def test_file_parsing_and_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment line\n"
@@ -347,6 +358,20 @@ class TestEvalViz:
         assert blobs[0] == blobs[1]
 
 
+class TestCheckpoint:
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        # a save that raises part-way, here on its second tensor, leaves the
+        # previous checkpoint whole and no temp file behind
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, PSRL_MAGIC, {"step": 1}, {"a": np.ones(3), "b": np.zeros(2)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, PSRL_MAGIC, {"step": 2},
+                            {"a": np.ones(3), "b": "not a tensor"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run([]) == 1
@@ -365,3 +390,14 @@ class TestUsageErrors:
         code = run(["inpaint", str(path), "8,8,24,24", "disc",
                     "--out", workspace, "--set", "sample.steps=999"])
         assert code == 1
+
+    def test_eval_steps_beyond_schedule(self, workspace, tmp_path, capsys):
+        # every task would fail alike, so eval stops before it samples or
+        # writes a report
+        report, summary = tmp_path / "r.csv", tmp_path / "s.txt"
+        assert run(["eval", "--out", workspace, "--set", "eval.steps=50",
+                    "--set", "eval.count=1", "--set", f"eval.report={report}",
+                    "--set", f"eval.summary={summary}"]) == 1
+        err = capsys.readouterr().err
+        assert "eval.steps=50" in err and "T=10" in err
+        assert not report.exists() and not summary.exists()

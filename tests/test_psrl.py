@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 from configs import full_config
+from oracles import contrastive_loss, stats_loss
 from styleinpaint.dataset import crop_patches, generate_dataset, mask_from_rect
 from styleinpaint.errors import DataError
 from styleinpaint.nn import Tensor, gradcheck, no_grad
-from styleinpaint.psrl import (PSRLModel, StyleFeature, contrastive_loss,
-                               embed_style, intra_image_stats_loss,
-                               psrl_batch_loss, stats_loss,
-                               style_contrastive_loss, train_psrl)
+from styleinpaint.psrl import (PSRLModel, StyleFeature, embed_style,
+                               psrl_batch_loss, style_contrastive_loss,
+                               train_psrl)
+from styleinpaint.psrl.losses import _pairwise_stats_mean
 from styleinpaint.psrl.model import _least_masked_windows
 from styleinpaint.psrl.train import held_out_margin
 
@@ -136,30 +137,24 @@ class TestStatsLoss:
         rng = np.random.default_rng(6)
         mu = rng.standard_normal((2, 64))
         sg = rng.uniform(0.1, 1, (2, 64))
-        batch = StyleFeature(Tensor(mu), Tensor(sg))
-        got = intra_image_stats_loss(batch).item()
+        got = _pairwise_stats_mean(Tensor(mu), Tensor(sg)).item()
         want = stats_loss(self._feat(mu[0], sg[0]), self._feat(mu[1], sg[1])).item()
         assert abs(got - want) < 1e-9
 
     def test_intra_identical_patches_zero(self):
         mu = np.tile(np.arange(64.0), (4, 1))
         sg = np.ones((4, 64))
-        val = intra_image_stats_loss(StyleFeature(Tensor(mu), Tensor(sg))).item()
+        val = _pairwise_stats_mean(Tensor(mu), Tensor(sg)).item()
         assert abs(val) < 1e-9
 
     def test_intra_n4_vs_pair_enumeration(self):
         rng = np.random.default_rng(7)
         mu = rng.standard_normal((4, 64))
         sg = rng.uniform(0.1, 1, (4, 64))
-        got = intra_image_stats_loss(StyleFeature(Tensor(mu), Tensor(sg))).item()
+        got = _pairwise_stats_mean(Tensor(mu), Tensor(sg)).item()
         want = np.mean([oracles.stats_pair_loops(mu[i], sg[i], mu[j], sg[j])
                         for i in range(4) for j in range(i + 1, 4)])
         assert abs(got - want) < 1e-9
-
-    def test_single_patch_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            intra_image_stats_loss(StyleFeature(Tensor(np.ones((1, 64))),
-                                                Tensor(np.ones((1, 64)))))
 
 
 def unit_rows(rng, n, d=64):
@@ -418,24 +413,29 @@ class TestEmbedStyle:
         sample = generate_dataset(seed=21, count=1, n_styles=1)[0]
         return model, sample
 
+    @staticmethod
+    def _no_mask(sample):
+        return np.zeros(sample.pixels.shape[:2], np.float32)
+
     def test_token_count_and_unit_norm(self):
         model, sample = self._model_and_scene()
-        toks = embed_style(model, sample.pixels, None, k=4, rng_seed=0)
+        toks = embed_style(model, sample.pixels, self._no_mask(sample), k=4, rng_seed=0)
         assert toks.shape == (5, 64)
         np.testing.assert_allclose(np.linalg.norm(toks, axis=1), 1.0, atol=1e-5)
 
     def test_deterministic(self):
         model, sample = self._model_and_scene()
-        a = embed_style(model, sample.pixels, None, k=4, rng_seed=7)
-        b = embed_style(model, sample.pixels, None, k=4, rng_seed=7)
+        a = embed_style(model, sample.pixels, self._no_mask(sample), k=4, rng_seed=7)
+        b = embed_style(model, sample.pixels, self._no_mask(sample), k=4, rng_seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_mask_equals_no_mask(self):
+        # an all-zero mask places patches over the whole image, as an
+        # unrestricted crop with the same seed does
         model, sample = self._model_and_scene()
-        empty = np.zeros(sample.pixels.shape[:2], np.float32)
-        a = embed_style(model, sample.pixels, None, k=3, rng_seed=1)
-        b = embed_style(model, sample.pixels, empty, k=3, rng_seed=1)
-        np.testing.assert_array_equal(a, b)
+        toks = embed_style(model, sample.pixels, self._no_mask(sample), k=3, rng_seed=1)
+        patches = crop_patches(sample.pixels, 3, 16, 1).patches
+        np.testing.assert_array_equal(toks[1:], model.embed_patches(patches))
 
     def test_mask_restricts_placement(self):
         model, sample = self._model_and_scene()
@@ -472,7 +472,7 @@ class TestEmbedStyle:
                 with pytest.raises(ValueError, match="cannot place"):
                     crop_patches(pixels, k, 16, 0, allowed=mask == 0)
                 want = oracles.least_masked_windows_loop(mask == 0, mask.shape, k, 16)
-                assert _least_masked_windows(mask == 0, mask.shape, k, 16) == want
+                assert _least_masked_windows(mask == 0, k, 16) == want
         assert len(set(want)) < 6
         source = pixels * (1.0 - mask[..., None])
         patches = np.stack([source[r:r + 16, c:c + 16] for r, c in want])
@@ -482,8 +482,8 @@ class TestEmbedStyle:
     def test_image_below_patch_size_rejected(self):
         model, _ = self._model_and_scene()
         with pytest.raises(ValueError, match="below the"):
-            embed_style(model, np.zeros((8, 8, 3), dtype=np.float32), None,
-                        k=1, rng_seed=0)
+            embed_style(model, np.zeros((8, 8, 3), dtype=np.float32),
+                        np.zeros((8, 8), dtype=np.float32), k=1, rng_seed=0)
 
     def test_margin_positive_after_short_training(self):
         samples = generate_dataset(seed=22, count=8, n_styles=4)

@@ -57,18 +57,13 @@ class TestBuildRefInput:
         np.testing.assert_array_equal(
             build_ref_input(x_t, clean * (1 - full[:, None]), full)[:, 3:6], 0.0)
 
-    def test_mask_resized_nearest(self):
-        x_t = np.zeros((1, 3, 8, 8), np.float32)
-        small = np.array([[1, 0], [0, 1]], np.float32)[None]
-        out = build_ref_input(x_t, x_t, small)
-        want = small[0].repeat(4, axis=0).repeat(4, axis=1)
-        np.testing.assert_array_equal(out[0, 6], want)
-
     def test_shape_mismatch_raises(self):
         x_t = np.zeros((1, 3, 8, 8), np.float32)
         with pytest.raises(ValueError, match="disagree"):
             build_ref_input(x_t, np.zeros((1, 3, 4, 4), np.float32),
                             np.zeros((1, 8, 8), np.float32))
+        with pytest.raises(ValueError, match="disagree"):
+            build_ref_input(x_t, x_t, np.zeros((1, 4, 4), np.float32))
 
 
 class TestReferenceNet:
