@@ -48,9 +48,6 @@ def build_parser() -> _Parser:
     common(sub.add_parser("gen-dataset", help="render the texture-scene dataset"))
 
     tp = common(sub.add_parser("train-psrl", help="train the style encoder"))
-    tp.add_argument("--mode", choices=("progressive", "contrastive_only",
-                                       "stats_only"),
-                    help="training recipe (overrides psrl.mode)")
     tp.add_argument("--resume", help="checkpoint to continue from")
 
     tn = common(sub.add_parser("train-nsd", help="train the denoiser"))
@@ -60,12 +57,8 @@ def build_parser() -> _Parser:
     ip.add_argument("image", help="input PPM image")
     ip.add_argument("mask", help="mask rectangle as x,y,w,h")
     ip.add_argument("caption", help="space-separated caption words")
-    ip.add_argument("--paste-background", action="store_true",
-                    help="copy unmasked input pixels into the output verbatim")
 
-    ev = common(sub.add_parser("eval", help="score held-out inpainting tasks"))
-    ev.add_argument("--paste-background", action="store_true",
-                    help="paste unmasked pixels before scoring")
+    common(sub.add_parser("eval", help="score held-out inpainting tasks"))
 
     common(sub.add_parser("viz", help="export a 2-D projection of patch embeddings"))
     return parser
@@ -75,16 +68,9 @@ def _config_from_args(args) -> dict:
     file_values = load_config_file(args.config) if args.config else {}
     overrides = dict(parse_assignment(item) for item in args.set)
     if args.seed is not None:
-        if args.seed < 0:
-            raise UsageError("--seed must be >= 0")
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    if getattr(args, "mode", None) is not None:
-        overrides["psrl.mode"] = args.mode
-    if getattr(args, "paste_background", False):
-        overrides["sample.paste_background"] = 1
-        overrides["eval.paste_background"] = 1
     return build_config(file_values, overrides)
 
 
@@ -99,17 +85,11 @@ def _read_dataset(path) -> list:
     return dataset_read(path)
 
 
-def _load_psrl(path) -> PSRLModel:
+def _load_model(cls, path):
+    """A PSRLModel or NSDModel restored from its checkpoint at `path`."""
     if not os.path.exists(path):
-        raise DataError(f"missing style-encoder checkpoint {path}")
-    model, _ = PSRLModel.from_checkpoint(path)
-    return model
-
-
-def _load_nsd(path) -> NSDModel:
-    if not os.path.exists(path):
-        raise DataError(f"missing denoiser checkpoint {path}")
-    model, _ = NSDModel.from_checkpoint(path)
+        raise DataError(f"missing checkpoint {path}")
+    model, _ = cls.from_checkpoint(path)
     return model
 
 
@@ -144,7 +124,7 @@ def cmd_train_psrl(cfg: dict, resume=None) -> list[str]:
 
 def cmd_train_nsd(cfg: dict, resume=None) -> list[str]:
     samples = _read_dataset(_artifact(cfg, cfg["dataset.file"]))
-    psrl = _load_psrl(_artifact(cfg, cfg["psrl.checkpoint"]))
+    psrl = _load_model(PSRLModel, _artifact(cfg, cfg["psrl.checkpoint"]))
     ckpt = _artifact(cfg, cfg["nsd.checkpoint"])
     log = _artifact(cfg, cfg["nsd.log"])
     train_nsd(samples, psrl, subconfig(cfg, "nsd"), seed=cfg["seed"],
@@ -183,8 +163,8 @@ def cmd_inpaint(cfg: dict, image_path: str, mask_spec: str,
     pixels = read_ppm(image_path)
     mask = mask_from_rect(pixels, _parse_rect(mask_spec)).mask
     tokens = _caption_tokens(caption)
-    model = _load_nsd(_artifact(cfg, cfg["nsd.checkpoint"]))
-    psrl = _load_psrl(_artifact(cfg, cfg["psrl.checkpoint"]))
+    model = _load_model(NSDModel, _artifact(cfg, cfg["nsd.checkpoint"]))
+    psrl = _load_model(PSRLModel, _artifact(cfg, cfg["psrl.checkpoint"]))
     out = sample_inpaint(InpaintTask(pixels, mask, tokens), model, psrl,
                          steps=cfg["sample.steps"], seed=cfg["seed"],
                          lam=cfg["sample.lam"], k=cfg["sample.k"],
@@ -196,12 +176,12 @@ def cmd_inpaint(cfg: dict, image_path: str, mask_spec: str,
 
 
 def cmd_eval(cfg: dict) -> list[str]:
-    model = _load_nsd(_artifact(cfg, cfg["nsd.checkpoint"]))
+    model = _load_model(NSDModel, _artifact(cfg, cfg["nsd.checkpoint"]))
     if cfg["eval.count"] > 0 and cfg["eval.steps"] > model.schedule.T:
         # every task would fail alike, so stop before sampling any of them
         raise UsageError(f"eval.steps={cfg['eval.steps']} exceeds the checkpoint's "
                          f"T={model.schedule.T} denoising steps")
-    psrl = _load_psrl(_artifact(cfg, cfg["psrl.checkpoint"]))
+    psrl = _load_model(PSRLModel, _artifact(cfg, cfg["psrl.checkpoint"]))
     # Held-out tasks continue the training sequence past dataset.count, so
     # they are unseen images drawn from the same style population.
     n_train = cfg["dataset.count"]
@@ -222,7 +202,7 @@ def cmd_eval(cfg: dict) -> list[str]:
 
 
 def cmd_viz(cfg: dict) -> list[str]:
-    psrl = _load_psrl(_artifact(cfg, cfg["psrl.checkpoint"]))
+    psrl = _load_model(PSRLModel, _artifact(cfg, cfg["psrl.checkpoint"]))
     samples = _read_dataset(_artifact(cfg, cfg["dataset.file"]))
     picked = samples[:cfg["viz.count"]]
     embs, labels = [], []

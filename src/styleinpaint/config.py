@@ -115,7 +115,7 @@ def validate_config(cfg: dict) -> None:
     for key in ("nsd.lam", "sample.lam", "eval.lam"):
         if cfg[key] < 0:
             raise UsageError(f"{key} must be >= 0")
-    for key in ("dataset.count", "dataset.styles", "psrl.n", "psrl.p",
+    for key in ("seed", "dataset.count", "dataset.styles", "psrl.n", "psrl.p",
                 "psrl.s1", "psrl.s2", "psrl.batch", "nsd.T", "nsd.phase_a",
                 "nsd.phase_b", "nsd.batch", "nsd.k", "sample.steps",
                 "sample.k", "eval.count", "eval.steps", "viz.count"):

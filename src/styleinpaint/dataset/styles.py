@@ -55,6 +55,6 @@ def style_from_id(style_id: int) -> StyleParams:
     return StyleParams(palette, family, frequency, orientation, style_id)
 
 
-def noise_lattice(style_id: int, size: int = 16) -> np.ndarray:
-    """Periodic value grid driving the value-noise family."""
-    return derive(style_id, "noise-lattice").uniform(0.0, 1.0, (size, size))
+def noise_lattice(style_id: int) -> np.ndarray:
+    """Periodic 16x16 value grid driving the value-noise family."""
+    return derive(style_id, "noise-lattice").uniform(0.0, 1.0, (16, 16))

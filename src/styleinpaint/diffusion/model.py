@@ -20,7 +20,6 @@ from ..dataset.scenes import VOCAB
 from ..nn import ParameterSet, Tensor, concat, getitem, relu, reshape, upsample_nearest2x
 from ..nn import functional as F
 from ..psrl.model import he_conv, he_linear
-from ..rng import derive
 
 ATTN_DIM = 64  # single-head attention width, shared by every attention sublayer
 TIME_DIM = 128
@@ -80,16 +79,14 @@ def dual_cross_attention(x_tokens: Tensor, bundle: ConditioningBundle,
 class SemanticEncoder:
     """Token embedding table plus one self-attention block over the caption."""
 
-    def __init__(self, params: ParameterSet, rng, dim: int = ATTN_DIM,
-                 prefix: str = "sem"):
-        self.dim = dim
-        scale = 1.0 / np.sqrt(dim)
-        table = (rng.standard_normal((len(VOCAB), dim)) * scale).astype(np.float32)
-        self.table = params.add(f"{prefix}/table", Tensor(table))
-        self.wq = params.add(f"{prefix}/sa/wq", Tensor(_xavier(rng, dim, dim)))
-        self.wk = params.add(f"{prefix}/sa/wk", Tensor(_xavier(rng, dim, dim)))
-        self.wv = params.add(f"{prefix}/sa/wv", Tensor(_xavier(rng, dim, dim)))
-        self.wo = params.add(f"{prefix}/sa/wo", Tensor(_xavier(rng, dim, dim)))
+    def __init__(self, params: ParameterSet, rng):
+        scale = 1.0 / np.sqrt(ATTN_DIM)
+        table = (rng.standard_normal((len(VOCAB), ATTN_DIM)) * scale).astype(np.float32)
+        self.table = params.add("sem/table", Tensor(table))
+        self.wq = params.add("sem/sa/wq", Tensor(_xavier(rng, ATTN_DIM, ATTN_DIM)))
+        self.wk = params.add("sem/sa/wk", Tensor(_xavier(rng, ATTN_DIM, ATTN_DIM)))
+        self.wv = params.add("sem/sa/wv", Tensor(_xavier(rng, ATTN_DIM, ATTN_DIM)))
+        self.wo = params.add("sem/sa/wo", Tensor(_xavier(rng, ATTN_DIM, ATTN_DIM)))
 
     def __call__(self, token_ids: np.ndarray) -> Tensor:
         ids = np.asarray(token_ids)
@@ -97,7 +94,7 @@ class SemanticEncoder:
             ids = ids[None]
         if ids.min() < 0 or ids.max() >= len(VOCAB):
             raise ValueError(f"token id outside the {len(VOCAB)}-word vocabulary")
-        emb = getitem(self.table, ids)  # [B, L, dim]
+        emb = getitem(self.table, ids)  # [B, L, ATTN_DIM]
         attn = F.scaled_dot_attention(emb @ self.wq, emb @ self.wk, emb @ self.wv)
         return emb + attn @ self.wo
 
@@ -107,7 +104,6 @@ class _Block:
 
     def __init__(self, params: ParameterSet, rng, prefix: str, cin: int,
                  cout: int, stride: int, cross_attention: bool):
-        self.prefix = prefix
         self.stride = stride
         self.cout = cout
         self.cross_attention = cross_attention
@@ -173,7 +169,6 @@ class Denoiser:
                  prefix: str = "den", cross_attention: bool = True,
                  head: bool = True):
         self.T = int(T)
-        self.prefix = prefix
         p = params.add
         self.in_w = p(f"{prefix}/in/w", Tensor(_unit_conv(rng, self.BASE, in_channels, 3)))
         self.in_b = p(f"{prefix}/in/b", Tensor(np.zeros(self.BASE, np.float32)))
@@ -226,8 +221,9 @@ class Denoiser:
                       reference_features: list | None = None) -> Tensor:
         """Predicted noise for x_t at timestep(s) t; reference_features, when
         given, are the per-block connector outputs (one per block, in order
-        d1, d2, mid, u1, u2, shaped like that block's features)."""
-        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, np.float32))
+        d1, d2, mid, u1, u2, shaped like that block's features). x_t is a
+        [B,C,H,W] array."""
+        x = Tensor(np.asarray(x_t, np.float32))
         if x.data.ndim != 4 or x.shape[2] % 4 or x.shape[3] % 4:
             raise ValueError(f"input {x.shape} must be [B,C,H,W] with H, W "
                              f"divisible by 4")

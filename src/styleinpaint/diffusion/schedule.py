@@ -42,7 +42,9 @@ def build_schedule(T: int, kind: str = "cosine") -> NoiseSchedule:
 
 def forward_noise(x0: np.ndarray, t: int | np.ndarray, eps: np.ndarray,
                   schedule: NoiseSchedule) -> np.ndarray:
-    """Exact affine noising of x0 at timestep(s) t."""
+    """Exact affine noising of x0 at timestep t: a scalar, or one per
+    sample along x0's first axis. Either way alpha_t and sigma_t broadcast
+    over the trailing axes as float64."""
     x0 = np.asarray(x0)
     eps = np.asarray(eps)
     if x0.shape != eps.shape:
@@ -50,11 +52,7 @@ def forward_noise(x0: np.ndarray, t: int | np.ndarray, eps: np.ndarray,
     t_arr = np.asarray(t)
     if np.any(t_arr < 0) or np.any(t_arr >= schedule.T):
         raise ValueError(f"timestep {t} outside [0, {schedule.T})")
-    if t_arr.ndim == 0:
-        a, s = schedule.alpha[int(t_arr)], schedule.sigma[int(t_arr)]
-    else:
-        # per-sample timesteps for a batch: broadcast over trailing dims
-        shape = (len(t_arr),) + (1,) * (x0.ndim - 1)
-        a = schedule.alpha[t_arr].reshape(shape)
-        s = schedule.sigma[t_arr].reshape(shape)
+    shape = (-1,) + (1,) * (x0.ndim - 1)
+    a = schedule.alpha[t_arr].reshape(shape)
+    s = schedule.sigma[t_arr].reshape(shape)
     return (a * x0 + s * eps).astype(x0.dtype)

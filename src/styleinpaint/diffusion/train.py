@@ -34,7 +34,6 @@ class NSDModel:
     """Denoiser, semantic encoder, and reference path in one parameter set."""
 
     def __init__(self, seed: int, T: int = 100, kind: str = "cosine"):
-        self.seed = int(seed)
         self.params = ParameterSet()
         rng = derive(seed, "nsd-init")
         self.denoiser = Denoiser(self.params, rng, T)
@@ -76,17 +75,12 @@ def from_diffusion_space(x: np.ndarray) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def training_loss(denoiser, encoder, images, token_ids, schedule, *,
-                  lam: float = 0.0, style_tokens=None, refnet=None, masks=None,
-                  rng=None, t=None, eps=None) -> Tensor:
-    """Full-image MSE between true and predicted noise; t uniform and eps
-    standard normal per sample unless pinned by the caller."""
+def training_loss(denoiser, encoder, images, token_ids, schedule, *, t, eps,
+                  lam: float = 0.0, style_tokens=None, refnet=None,
+                  masks=None) -> Tensor:
+    """Full-image MSE between true and predicted noise, for the caller's
+    per-sample timesteps t and [B,3,H,W] noise eps."""
     x0 = to_diffusion_space(images)
-    b = x0.shape[0]
-    if t is None:
-        t = rng.integers(0, schedule.T, size=b)
-    if eps is None:
-        eps = rng.standard_normal(x0.shape).astype(np.float32)
     x_t = forward_noise(x0, t, eps, schedule)
     sty = None
     if style_tokens is not None:
@@ -102,16 +96,6 @@ def training_loss(denoiser, encoder, images, token_ids, schedule, *,
     eps_hat = denoiser.predict_noise(x_t, t, bundle, refs)
     diff = eps_hat - Tensor(np.asarray(eps, np.float32))
     return (diff * diff).mean()
-
-
-def _style_token_batch(psrl: PSRLModel, batch_samples, k: int, seeds,
-                       use_projector: bool) -> np.ndarray:
-    toks = []
-    for s, ss in zip(batch_samples, seeds):
-        mask = mask_from_rect(s.pixels, s.mask_rect).mask
-        toks.append(embed_style(psrl, s.pixels, mask, k, ss,
-                                use_projector=use_projector))
-    return np.stack(toks).astype(np.float32)
 
 
 def train_nsd(samples: list[DatasetSample], psrl: PSRLModel, config: dict,
@@ -150,9 +134,11 @@ def train_nsd(samples: list[DatasetSample], psrl: PSRLModel, config: dict,
                                  model.schedule, lam=0.0, t=t, eps=eps)
         else:
             seeds = [int(rng.integers(0, 2 ** 63)) for _ in range(batch)]
-            sty = _style_token_batch(psrl, picked, k, seeds, use_projector)
             masks = np.stack([mask_from_rect(s.pixels, s.mask_rect).mask
                               for s in picked])
+            sty = np.stack([embed_style(psrl, s.pixels, mask, k, ss,
+                                        use_projector=use_projector)
+                            for s, mask, ss in zip(picked, masks, seeds)])
             loss = training_loss(model.denoiser, model.encoder, images, tokens,
                                  model.schedule, lam=lam, style_tokens=sty,
                                  refnet=model.refnet, masks=masks, t=t, eps=eps)

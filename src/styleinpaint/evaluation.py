@@ -81,8 +81,9 @@ def style_cosine_between(in_patches: np.ndarray, context: np.ndarray) -> float:
 
 
 def psnr_unmasked(generated: np.ndarray, reference: np.ndarray,
-                  mask: np.ndarray, cap: float = 99.0) -> float:
-    """10 log10(1/MSE) on [0,1] pixels outside the mask, capped for MSE = 0."""
+                  mask: np.ndarray) -> float:
+    """10 log10(1/MSE) on [0,1] pixels outside the mask, capped at 99 dB,
+    the value for MSE = 0."""
     generated = np.asarray(generated, np.float64)
     reference = np.asarray(reference, np.float64)
     if generated.shape != reference.shape:
@@ -92,8 +93,8 @@ def psnr_unmasked(generated: np.ndarray, reference: np.ndarray,
         raise ValueError("empty unmasked region")
     mse = float(((generated - reference) ** 2)[keep].mean())
     if mse == 0.0:
-        return cap
-    return min(10.0 * math.log10(1.0 / mse), cap)
+        return 99.0
+    return min(10.0 * math.log10(1.0 / mse), 99.0)
 
 
 def clustering_stats(embeddings: np.ndarray, labels) -> tuple[float, float, float]:

@@ -93,14 +93,14 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     return T.div(x, T.sqrt(sq))
 
 
-def channel_mean_std(x: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+def channel_mean_std(x: Tensor) -> tuple[Tensor, Tensor]:
     """Per-channel spatial mean and std of [B,C,H,W]; population variance,
-    stabilized as sqrt(var + eps)."""
+    stabilized as sqrt(var + 1e-5)."""
     mu = T.tmean(x, axis=(2, 3))
     mu_k = T.reshape(mu, (x.shape[0], x.shape[1], 1, 1))
     d = T.sub(x, mu_k)
     var = T.tmean(T.mul(d, d), axis=(2, 3))
-    sigma = T.sqrt(T.add(var, eps))
+    sigma = T.sqrt(T.add(var, 1e-5))
     return mu, sigma
 
 

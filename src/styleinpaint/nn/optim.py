@@ -13,6 +13,10 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class ParameterSet:
     """Ordered named parameters with per-path trainability flags."""
@@ -29,9 +33,6 @@ class ParameterSet:
 
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
 
     def paths(self) -> list[str]:
         return sorted(self._params)
@@ -50,9 +51,6 @@ class AdamState:
     """First/second moment accumulators for one trainable subset."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -66,9 +64,8 @@ def adam_step(params: ParameterSet, state: AdamState) -> None:
     Gradients are cleared after the update.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for path in params.paths():
         t = params[path]
         if not t.requires_grad:
@@ -81,11 +78,11 @@ def adam_step(params: ParameterSet, state: AdamState) -> None:
             state.v[path] = np.zeros_like(t.data)
         m = state.m[path]
         v = state.v[path]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        t.data -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(t.data.dtype)
+        t.data -= (state.lr * mhat / (np.sqrt(vhat) + EPS)).astype(t.data.dtype)
         t.grad = None

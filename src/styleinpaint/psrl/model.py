@@ -77,7 +77,6 @@ class Projector:
 
 class PSRLModel:
     def __init__(self, seed: int, patch_size: int = 16):
-        self.seed = int(seed)
         self.patch_size = int(patch_size)
         self.params = ParameterSet()
         rng = derive(seed, "psrl-init")

@@ -41,9 +41,9 @@ class ReferenceNet:
                            for name in BLOCKS]
 
     def features(self, ref_input, t) -> list[Tensor]:
-        """One feature map per injection site, in denoiser block order."""
-        x = ref_input if isinstance(ref_input, Tensor) \
-            else Tensor(np.asarray(ref_input, np.float32))
+        """One feature map per injection site, in denoiser block order, for
+        a [B,7,H,W] array from build_ref_input."""
+        x = Tensor(np.asarray(ref_input, np.float32))
         feats = self.net.backbone(x, self.net._check_t(t), None, None)
         return [feats[name] for name in BLOCKS]
 
@@ -54,18 +54,12 @@ class ReferenceNet:
 
 
 def build_ref_input(x_t: np.ndarray, x_mask: np.ndarray, x_m: np.ndarray) -> np.ndarray:
-    """Stack (x_t, x_mask, x_m) into [B,7,H,W]. Images are [B,3,H,W] or
-    [3,H,W]; the mask is [B,1,H,W], [B,H,W] or [H,W], at the image's size."""
+    """Stack (x_t, x_mask, x_m) into [B,7,H,W]. Both images are [B,3,H,W];
+    the mask is [B,1,H,W] or [B,H,W], at the image's size."""
     x_t = np.asarray(x_t, np.float32)
     x_mask = np.asarray(x_mask, np.float32)
     x_m = np.asarray(x_m, np.float32)
-    if x_t.ndim == 3:
-        x_t = x_t[None]
-    if x_mask.ndim == 3:
-        x_mask = x_mask[None]
-    if x_m.ndim == 2:
-        x_m = x_m[None, None]
-    elif x_m.ndim == 3:
+    if x_m.ndim == 3:
         x_m = x_m[:, None]
     if x_mask.shape != x_t.shape or x_m.shape[2:] != x_t.shape[2:]:
         raise ValueError(f"reference input shapes disagree: x_t {x_t.shape}, "

@@ -4,7 +4,9 @@ Recipe 1 is criterion 10's pipeline (gen-dataset through viz at seed 13 on its
 SMOKE config) with dataset.count=6, dataset.styles=3 and eval.count=6. Recipe 2
 is recipe 1 plus psrl.mode=contrastive_only, nsd.kind=linear and nsd.lam=0.5.
 A change that keeps the artefacts byte-identical prints the same prefixes
-before and after it. Each recipe runs in its own temporary directory.
+before and after it. Each recipe runs in its own temporary directory. The
+last line is the size of src, as `find src -name '*.py' | xargs cat | wc -l`
+counts it.
 
 Not a test module (pytest does not collect it). From the repository root:
 
@@ -18,6 +20,7 @@ import hashlib
 import io
 import os
 import tempfile
+from pathlib import Path
 
 from styleinpaint.cli import run
 from styleinpaint.dataset.io import dataset_read, write_ppm
@@ -28,6 +31,7 @@ RECIPES = {
     1: RECIPE_1,
     2: RECIPE_1 + ["psrl.mode=contrastive_only", "nsd.kind=linear", "nsd.lam=0.5"],
 }
+SRC = Path(__file__).resolve().parent.parent / "src"
 ARTEFACTS = ["dataset.s3im", "dataset.s3im.manifest.txt", "psrl.ckpt",
              "psrl_log.csv", "nsd.ckpt", "nsd_log.csv", "inpaint.ppm",
              "report.csv", "summary.txt", "projection.csv"]
@@ -61,6 +65,8 @@ def artefact_prefixes(overrides: list[str]) -> list[str]:
 def main() -> None:
     for number, overrides in RECIPES.items():
         print(f"recipe {number}: " + ", ".join(artefact_prefixes(overrides)))
+    lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
+    print(f"src lines: {lines}")
 
 
 if __name__ == "__main__":

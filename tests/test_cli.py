@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(UsageError, match="nsd.lam"):
             build_config({"nsd.lam": "-0.5"})
 
+    def test_seed_nonnegative(self, tmp_path, capsys):
+        # a negative seed from --set or a config file is refused like
+        # --seed -1, before any command starts
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            build_config({"seed": "-1"})
+        assert run(["gen-dataset", "--out", str(tmp_path), "--set", "seed=-1"]) == 1
+        assert "usage error: seed must be >= 0" in capsys.readouterr().err
+
     def test_size_multiple_of_four(self):
         with pytest.raises(UsageError, match="multiple of 4"):
             build_config({"dataset.size": "30"})
@@ -246,8 +254,8 @@ class TestTraining:
     def test_mode_flag(self, tmp_path):
         out = str(tmp_path / "m")
         assert run(["gen-dataset", "--out", out, "--seed", "2"] + GEN) == 0
-        assert run(["train-psrl", "--out", out, "--seed", "2", "--mode",
-                    "contrastive_only"] + PSRL) == 0
+        assert run(["train-psrl", "--out", out, "--seed", "2",
+                    "--set", "psrl.mode=contrastive_only"] + PSRL) == 0
 
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         assert run(["train-psrl", "--out", str(tmp_path / "nope")] + PSRL) == 2
@@ -287,7 +295,7 @@ class TestInpaint:
                                                  tmp_path):
         dest = tmp_path / "pasted.ppm"
         assert run(["inpaint", scene_ppm, "8,8,24,24", "disc red stripes",
-                    "--out", workspace, "--paste-background",
+                    "--out", workspace, "--set", "sample.paste_background=1",
                     "--set", f"sample.file={dest}"] + self.ARGS) == 0
         out = read_ppm(dest)
         ref = read_ppm(scene_ppm)

@@ -270,8 +270,11 @@ class TestTrainingLoss:
         rng = np.random.default_rng(1)
         images = rng.random((4, 16, 16, 3)).astype(np.float32)
         toks = np.tile(np.array([0, 3, 7]), (4, 1))
+        draw = np.random.default_rng(2)
+        t = draw.integers(0, m.schedule.T, size=4)
+        eps = draw.standard_normal((4, 3, 16, 16)).astype(np.float32)
         loss = training_loss(m.denoiser, m.encoder, images, toks, m.schedule,
-                             rng=np.random.default_rng(2))
+                             t=t, eps=eps)
         assert abs(loss.item() - 1.0) < 0.15
 
     def test_gradcheck_micro_batch(self):

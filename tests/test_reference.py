@@ -64,6 +64,9 @@ class TestBuildRefInput:
                             np.zeros((1, 8, 8), np.float32))
         with pytest.raises(ValueError, match="disagree"):
             build_ref_input(x_t, x_t, np.zeros((1, 4, 4), np.float32))
+        unbatched = np.zeros((3, 8, 8), np.float32)
+        with pytest.raises(ValueError, match="disagree"):
+            build_ref_input(unbatched, unbatched, np.zeros((1, 8, 8), np.float32))
 
 
 class TestReferenceNet:
