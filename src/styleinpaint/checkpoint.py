@@ -47,8 +47,12 @@ def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
         raise
 
 
-def load_checkpoint(path, magic: bytes) -> tuple[dict, dict]:
+def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict, dict]:
+    """The config echo and the tensors by path. With `params_only` the
+    optimizer moments (the "opt." paths) are seeked past, not read, and
+    left out of the tensors."""
     with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
         got = f.read(len(magic))
         if got != magic:
             if got[:4] == magic[:4]:
@@ -71,6 +75,10 @@ def load_checkpoint(path, magic: bytes) -> tuple[dict, dict]:
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             size = int(np.prod(shape)) if ndim else 1
+            if params_only and name.startswith("opt."):
+                if f.seek(4 * size, os.SEEK_CUR) > file_size:
+                    raise DataError("truncated checkpoint")
+                continue
             data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
             tensors[name] = data.copy()
     return config, tensors

@@ -214,7 +214,6 @@ class Denoiser:
         feats["u1"] = self.u1(u1_in, temb, bundle, refs.get("u1"))
         u2_in = concat([upsample_nearest2x(feats["u1"]), feats["d1"]], axis=1)
         feats["u2"] = self.u2(u2_in, temb, bundle, refs.get("u2"))
-        feats["top"] = upsample_nearest2x(feats["u2"])
         return feats
 
     def predict_noise(self, x_t, t, bundle: ConditioningBundle,
@@ -232,4 +231,4 @@ class Denoiser:
             raise ValueError(f"expected {len(BLOCKS)} reference features, "
                              f"got {len(reference_features)}")
         feats = self.backbone(x, t_arr, bundle, reference_features)
-        return F.conv2d(feats["top"], self.out_w, self.out_b)
+        return F.conv2d(upsample_nearest2x(feats["u2"]), self.out_w, self.out_b)

@@ -54,7 +54,7 @@ class NSDModel:
 
     @classmethod
     def from_checkpoint(cls, path) -> tuple["NSDModel", dict]:
-        config, tensors = load_checkpoint(path, NSDM_MAGIC)
+        config, tensors = load_checkpoint(path, NSDM_MAGIC, params_only=True)
         model = cls(config["seed"], T=config["T"], kind=config["kind"])
         for name in model.params.paths():
             model.params[name].data[...] = tensors[name]

@@ -1,9 +1,19 @@
 """Layer-level operations: convolution, linear, attention, feature stats.
 
-conv2d is the hot path. It lowers the padded input to channel-major im2col
-columns, one GEMM per pass; see conv2d for the layout. The backward pass
-rebuilds the columns from the saved padded input (cheaper than holding them)
-for dW and scatters dX back through one add per kernel tap.
+conv2d is the hot path, one tape node over (x, w[, b]) that pads x as a
+plain array and keeps no padded copy; backward pads x.data again. It lowers
+a conv to one GEMM per pass in one of two ways, picked from the shapes:
+- input side (_im2col): channel-major columns [Cin*k*k, B*Ho*Wo] of the
+  padded input, out = W @ cols. Backward rebuilds the columns for dW and
+  adds the dX slab of each kernel tap back into the padded layout.
+- output side (_narrow, stride 1 with Cout < Cin): Y = Wk[k*k*Cout, Cin] @
+  Xc[Cin, B*Hp*Wp] gives every tap's output at every padded pixel, and the
+  output sums the k*k shifted slices of Y. Backward places g at each tap's
+  offset in one zeroed Gs[k*k*Cout, B*Hp*Wp], for dW and dX alike. Y and Gs
+  scale with Cout where the columns scale with Cin, so a narrowing conv
+  holds no columns.
+The dX of the padded layout returns to x through tensor.unpad, the backward
+of pad2d.
 
 scaled_dot_attention is one tape node that keeps only the softmax P of its
 scores, and gives the bits of the matmul/mul/softmax chain it replaces (that
@@ -20,61 +30,123 @@ from .tensor import Tensor, _accum, _node
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 1, pad_mode: str = "zeros") -> Tensor:
-    """2-D convolution (cross-correlation) of [B,Cin,H,W] with [Cout,Cin,k,k].
-
-    The columns are laid out channel-major, [Cin*kh*kw, B*Ho*Wo]: row
-    (c, i, j) holds tap (i, j) of channel c at every output pixel. Building
-    them copies one output row of Wo pixels at a time, read contiguously from
-    the input at stride 1, where a row-major [B*Ho*Wo, Cin*kh*kw] im2col
-    copies runs of kw pixels that lie H*W apart.
-    The forward pass is wmat @ cols. The backward pass reuses the layout:
-    dW = g @ cols^T on rebuilt columns, and dX = wmat^T @ g, whose
-    [Cin, B, Ho, Wo] slab per tap is added back into the padded input.
-
-    Every output element is the same dot product as with the row-major
-    layout, summed over K in the same order, so
-    OpenBLAS's blocked GEMM gives bit-identical results. Products small
-    enough for its small-matrix kernels (about 1e6 multiply-adds or fewer)
-    may differ from the row-major layout in the last bit.
-    """
-    xp = T.pad2d(x, padding, pad_mode) if padding > 0 else x
-    B, Cin, Hp, Wp = xp.data.shape
-    Cout, Cin_w, kh, kw = w.data.shape
+    """2-D convolution (cross-correlation) of [B,Cin,H,W] with [Cout,Cin,k,k],
+    one tape node over (x, w[, b]). A stride-1 conv with Cout < Cin lowers
+    on its output side (_narrow), every other conv on its input side
+    (_im2col)."""
+    Cin = x.data.shape[1]
+    Cout, Cin_w = w.data.shape[:2]
     if Cin != Cin_w:
         raise ValueError(f"conv2d channel mismatch: input has {Cin}, weight expects {Cin_w}")
+    if stride == 1 and Cout < Cin:
+        out_cm, grads = _narrow(x, w, padding, pad_mode)  # [Cout, B, Ho, Wo]
+    else:
+        out_cm, grads = _im2col(x, w, stride, padding, pad_mode)
+    out_data = out_cm.transpose(1, 0, 2, 3)
+    if b is not None:
+        out_data = out_data + b.data.reshape(1, Cout, 1, 1)
+    out_data = np.ascontiguousarray(out_data)
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward(g):
+        dw, dx = grads(g.transpose(1, 0, 2, 3), w.requires_grad, x.requires_grad)
+        if dw is not None:
+            _accum(w, dw)
+        if b is not None and b.requires_grad:
+            _accum(b, g.sum(axis=(0, 2, 3)))
+        if dx is not None:
+            _accum(x, T.unpad(dx, padding, pad_mode), owned=True)
+
+    return _node(out_data, parents, backward)
+
+
+def _im2col(x: Tensor, w: Tensor, stride: int, padding: int, pad_mode: str):
+    """Input-side lowering. Row (c, i, j) of the columns holds tap (i, j) of
+    channel c at every output pixel. Building them copies one output row of
+    Wo pixels at a time, read contiguously from the input at stride 1, where
+    a row-major [B*Ho*Wo, Cin*kh*kw] im2col copies runs of kw pixels that
+    lie H*W apart. Backward rebuilds them, cheaper than holding them.
+
+    Every output element is the same dot product as with the row-major
+    layout, summed over K in the same order, so OpenBLAS's blocked GEMM
+    gives bit-identical results. Products small enough for its small-matrix
+    kernels (about 1e6 multiply-adds or fewer) may differ from the row-major
+    layout in the last bit.
+    """
+    Cout, Cin, kh, kw = w.data.shape
+    B, _, H, W = x.data.shape
+    Hp, Wp = H + 2 * padding, W + 2 * padding
     Ho = (Hp - kh) // stride + 1
     Wo = (Wp - kw) // stride + 1
 
-    def im2col(xd: np.ndarray) -> np.ndarray:
-        win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
+    def im2col() -> np.ndarray:
+        xp = T.pad_array(x.data, padding, pad_mode)
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]  # [B, Cin, Ho, Wo, kh, kw]
         return win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * kh * kw, B * Ho * Wo)
 
     wmat = w.data.reshape(Cout, Cin * kh * kw)
-    out_data = (wmat @ im2col(xp.data)).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
-    if b is not None:
-        out_data = out_data + b.data.reshape(1, Cout, 1, 1)
-    out_data = np.ascontiguousarray(out_data)
+    out_cm = (wmat @ im2col()).reshape(Cout, B, Ho, Wo)
 
-    xp_data = xp.data
-    parents = (xp, w) if b is None else (xp, w, b)
-
-    def backward(g):
-        gm = g.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
-        if w.requires_grad:
-            _accum(w, (gm @ im2col(xp_data).T).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)))
-        if xp.requires_grad:
+    def grads(g_cm, need_w, need_x):
+        gm = g_cm.reshape(Cout, B * Ho * Wo)
+        dw = dx = None
+        if need_w:
+            dw = (gm @ im2col().T).reshape(w.data.shape)
+        if need_x:
             gcols = (wmat.T @ gm).reshape(Cin, kh, kw, B, Ho, Wo)
-            gx = np.zeros_like(xp_data)
+            # unpadded, dX keeps x's memory layout (x may be a transposed
+            # view, as a block's unflattened tokens are)
+            dx = np.zeros_like(x.data) if padding == 0 else \
+                np.zeros((B, Cin, Hp, Wp), x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gx[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += \
+                    dx[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += \
                         gcols[:, i, j].transpose(1, 0, 2, 3)
-            _accum(xp, gx)
+        return dw, dx
 
-    return _node(out_data, parents, backward)
+    return out_cm, grads
+
+
+def _narrow(x: Tensor, w: Tensor, padding: int, pad_mode: str):
+    """Output-side lowering of a stride-1 conv (kn2row, Vasudevan et al.,
+    arXiv:1704.04428); see the module docstring. The rows of Wk are
+    (i, j, co), so Y[i, j] is tap (i, j)'s [Cout, B, Hp, Wp] slab, and the
+    taps add in row-major order. dX = Wk^T @ Gs lands in the padded layout,
+    and the channel-major input Xc is rebuilt for dW = Gs @ Xc^T, not held.
+    """
+    Cout, Cin, kh, kw = w.data.shape
+    B, _, H, W = x.data.shape
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    Ho, Wo = Hp - kh + 1, Wp - kw + 1
+
+    def channel_major() -> np.ndarray:
+        xc = np.ascontiguousarray(T.pad_array(x.data.transpose(1, 0, 2, 3), padding, pad_mode))
+        return xc.reshape(Cin, -1)
+
+    wk = w.data.transpose(2, 3, 0, 1).reshape(kh * kw * Cout, Cin)
+    y = (wk @ channel_major()).reshape(kh, kw, Cout, B, Hp, Wp)
+    out_cm = y[0, 0, :, :, :Ho, :Wo].copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                out_cm += y[i, j, :, :, i:i + Ho, j:j + Wo]
+
+    def grads(g_cm, need_w, need_x):
+        gs = np.zeros((kh, kw, Cout, B, Hp, Wp), g_cm.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gs[i, j, :, :, i:i + Ho, j:j + Wo] = g_cm
+        gs = gs.reshape(kh * kw * Cout, B * Hp * Wp)
+        dw = dx = None
+        if need_w:
+            dwk = (gs @ channel_major().T).reshape(kh, kw, Cout, Cin)
+            dw = np.ascontiguousarray(dwk.transpose(2, 3, 0, 1))
+        if need_x:
+            dx = (wk.T @ gs).reshape(Cin, B, Hp, Wp).transpose(1, 0, 2, 3)
+        return dw, dx
+
+    return out_cm, grads
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -133,7 +205,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         if not (q.requires_grad or k.requires_grad):
             return
         gs = g @ np.swapaxes(v.data, -1, -2)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        # rowsum(dP * P) one batch slice at a time: the product is a
+        # [Lq, Lk] temporary, not a second [B, Lq, Lk] one
+        for gs_i, p_i in zip(gs, p):
+            gs_i -= (gs_i * p_i).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
         if q.requires_grad:

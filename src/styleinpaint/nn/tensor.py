@@ -173,11 +173,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad. An `owned` g is a fresh array that nothing else
+    holds, so a first gradient of t's dtype is kept without a copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = g if owned and g.dtype == t.data.dtype else \
+            np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -386,32 +389,53 @@ def getitem(a, idx) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
+def pad_array(a: np.ndarray, p: int, mode: str) -> np.ndarray:
+    """Pad the two trailing (spatial) axes of a [..., H, W] array by p, as
+    np.pad's "constant" or "edge" mode does at less cost per call; p = 0
+    returns `a` itself."""
+    if p == 0:
+        return a
+    if mode not in ("zeros", "edge"):
+        raise ValueError(f"unknown pad mode '{mode}'")
+    shape = a.shape[:-2] + (a.shape[-2] + 2 * p, a.shape[-1] + 2 * p)
+    out = np.zeros(shape, a.dtype) if mode == "zeros" else np.empty(shape, a.dtype)
+    out[..., p:-p, p:-p] = a
+    if mode == "edge":
+        out[..., :p, p:-p] = a[..., :1, :]
+        out[..., -p:, p:-p] = a[..., -1:, :]
+        out[..., :, :p] = out[..., :, p:p + 1]
+        out[..., :, -p:] = out[..., :, -p - 1:-p]
+    return out
+
+
+def unpad(g: np.ndarray, p: int, mode: str) -> np.ndarray:
+    """Gradient of pad_array: a fresh C-ordered [..., H, W] array from the
+    padded gradient g (g itself when p = 0). In edge mode the padded strips
+    fold back onto the border pixels they replicated."""
+    if p == 0:
+        return g
+    core = np.array(g[..., p:-p, p:-p], order="C")
+    if mode == "edge":
+        core[..., 0, :] += g[..., :p, p:-p].sum(axis=-2)
+        core[..., -1, :] += g[..., -p:, p:-p].sum(axis=-2)
+        core[..., :, 0] += g[..., p:-p, :p].sum(axis=-1)
+        core[..., :, -1] += g[..., p:-p, -p:].sum(axis=-1)
+        core[..., 0, 0] += g[..., :p, :p].sum(axis=(-1, -2))
+        core[..., 0, -1] += g[..., :p, -p:].sum(axis=(-1, -2))
+        core[..., -1, 0] += g[..., -p:, :p].sum(axis=(-1, -2))
+        core[..., -1, -1] += g[..., -p:, -p:].sum(axis=(-1, -2))
+    return core
+
+
 def pad2d(a, p: int, mode: str = "zeros") -> Tensor:
     """Pad the two trailing (spatial) axes of a [..., H, W] tensor."""
     a = _as_tensor(a)
     if p == 0:
         return a
-    width = [(0, 0)] * (a.ndim - 2) + [(p, p), (p, p)]
-    if mode == "zeros":
-        out_data = np.pad(a.data, width)
-    elif mode == "edge":
-        out_data = np.pad(a.data, width, mode="edge")
-    else:
-        raise ValueError(f"unknown pad mode '{mode}'")
+    out_data = pad_array(a.data, p, mode)
 
     def backward(g):
-        core = np.array(g[..., p:-p, p:-p], copy=True)
-        if mode == "edge":
-            # fold padded strips back onto the border pixels they replicated
-            core[..., 0, :] += g[..., :p, p:-p].sum(axis=-2)
-            core[..., -1, :] += g[..., -p:, p:-p].sum(axis=-2)
-            core[..., :, 0] += g[..., p:-p, :p].sum(axis=-1)
-            core[..., :, -1] += g[..., p:-p, -p:].sum(axis=-1)
-            core[..., 0, 0] += g[..., :p, :p].sum(axis=(-1, -2))
-            core[..., 0, -1] += g[..., :p, -p:].sum(axis=(-1, -2))
-            core[..., -1, 0] += g[..., -p:, :p].sum(axis=(-1, -2))
-            core[..., -1, -1] += g[..., -p:, -p:].sum(axis=(-1, -2))
-        _accum(a, core)
+        _accum(a, unpad(g, p, mode))
 
     return _node(out_data, (a,), backward)
 

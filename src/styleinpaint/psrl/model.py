@@ -122,7 +122,7 @@ class PSRLModel:
 
     @classmethod
     def from_checkpoint(cls, path) -> tuple["PSRLModel", dict]:
-        config, tensors = load_checkpoint(path, PSRL_MAGIC)
+        config, tensors = load_checkpoint(path, PSRL_MAGIC, params_only=True)
         model = cls(config["seed"], patch_size=config.get("p", 16))
         for name in model.params.paths():
             model.params[name].data[...] = tensors[name]

@@ -9,7 +9,7 @@ from styleinpaint.checkpoint import NSDM_MAGIC, PSRL_MAGIC, load_checkpoint, sav
 from styleinpaint.cli import run
 from styleinpaint.config import DEFAULTS, build_config, load_config_file
 from styleinpaint.dataset.io import dataset_read, read_ppm, write_ppm
-from styleinpaint.errors import NumericsError, UsageError
+from styleinpaint.errors import DataError, NumericsError, UsageError
 
 
 class TestConfig:
@@ -378,6 +378,35 @@ class TestCheckpoint:
                             {"a": np.ones(3), "b": "not a tensor"})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_params_only_skips_moments(self, tmp_path):
+        # the moments sort between the parameter paths; params_only returns
+        # every other tensor as the full read does, and no "opt." path
+        path = tmp_path / "m.ckpt"
+        rng = np.random.default_rng(0)
+        tensors = {name: rng.standard_normal(shape).astype(np.float32)
+                   for name, shape in (("enc/w", (2, 3)), ("opt.m.enc/w", (2, 3)),
+                                       ("opt.v.enc/w", (2, 3)), ("proj/b", (4,)))}
+        save_checkpoint(path, PSRL_MAGIC, {"step": 1}, tensors)
+        cfg, full = load_checkpoint(path, PSRL_MAGIC)
+        cfg_p, params = load_checkpoint(path, PSRL_MAGIC, params_only=True)
+        assert cfg_p == cfg == {"step": 1}
+        assert sorted(full) == sorted(tensors)
+        assert sorted(params) == ["enc/w", "proj/b"]
+        for name, arr in params.items():
+            assert arr.dtype == np.float32 and np.array_equal(arr, tensors[name])
+
+    @pytest.mark.parametrize("params_only", [False, True])
+    @pytest.mark.parametrize("cut", [4, 100])
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, params_only, cut):
+        # cut into the last tensor, a moment that params_only seeks past, or
+        # through its 94 bytes into the data of the parameter before it
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, PSRL_MAGIC, {"step": 1},
+                        {"a": np.ones(3), "opt.m.a": np.ones(20)})
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            load_checkpoint(path, PSRL_MAGIC, params_only=params_only)
 
 
 class TestUsageErrors:

@@ -18,6 +18,9 @@ def randn64(rng, *shape):
 
 # conv2d shapes that tell B from Cin and Ho from Wo: a swapped axis in the
 # column layout or its reshapes gives wrong values on at least one of them.
+# Stride-1 rows with Cout < Cin take the output-side (narrow) lowering, the
+# others the im2col one; the narrow_* rows also tell Cout from B and H from
+# W, so swapped tap offsets or axes of Y and Gs show too.
 # Fields: B, Cin, Cout, H, W, kernel, stride, padding, pad_mode.
 CONV_LAYOUTS = {
     "non_square": (2, 2, 3, 7, 10, 3, 1, 1, "zeros"),
@@ -26,6 +29,9 @@ CONV_LAYOUTS = {
     "stride2_odd_edge": (1, 2, 3, 9, 7, 3, 2, 1, "edge"),
     "one_by_one_unpadded": (2, 4, 3, 5, 6, 1, 1, 0, "zeros"),
     "batch3_cin_ne_cout": (3, 2, 5, 6, 5, 3, 1, 1, "edge"),
+    "narrow_k3_zeros": (3, 5, 2, 6, 9, 3, 1, 1, "zeros"),
+    "narrow_k3_edge": (2, 6, 3, 9, 5, 3, 1, 1, "edge"),
+    "narrow_one_by_one": (3, 7, 4, 5, 8, 1, 1, 0, "zeros"),
 }
 
 
@@ -141,6 +147,13 @@ class TestForwardVsOracle:
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(3), rtol=1e-12)
         with pytest.raises(ValueError, match="degenerate zero embedding"):
             F.l2_normalize(Tensor(np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("mode,np_mode", [("zeros", "constant"), ("edge", "edge")])
+    def test_pad2d_matches_numpy_pad(self, mode, np_mode):
+        x = np.random.default_rng(8).standard_normal((2, 3, 4, 5))
+        for p in (1, 2):
+            want = np.pad(x, [(0, 0), (0, 0), (p, p), (p, p)], mode=np_mode)
+            np.testing.assert_array_equal(nn.pad2d(Tensor(x), p, mode).data, want)
 
     def test_upsample_nearest(self):
         x = np.arange(8, dtype=np.float64).reshape(1, 2, 2, 2)
@@ -305,6 +318,46 @@ class TestGradients:
             return (d * d).mean()
 
         gradcheck(f, [x, w, b], tol=1e-5)
+
+    @pytest.mark.parametrize("name", ["narrow_k3_edge", "stride2_odd_edge"])
+    def test_conv2d_node_parents_are_its_inputs(self, name):
+        # conv2d pads inside its node, so no padded copy of x sits on the
+        # tape between x and the conv, on either lowering
+        rng = np.random.default_rng(25)
+        xd, wd, bd, opts = conv_case(rng, name)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = F.conv2d(x, w, b, **opts)
+        assert len(out._parents) == 3
+        assert all(p is t for p, t in zip(out._parents, (x, w, b)))
+        np.testing.assert_allclose(out.data, oracles.conv2d_loops(xd, wd, bd, **opts),
+                                   rtol=1e-12, atol=1e-12)
+        tgt = rng.standard_normal(out.shape)
+
+        def f():
+            d = F.conv2d(x, w, b, **opts) - tgt
+            return (d * d).mean()
+
+        gradcheck(f, [x, w], tol=1e-5)
+
+    def test_narrow_conv2d_builds_no_columns(self):
+        # a stride-1 conv with Cout < Cin never holds im2col columns
+        # [Cin*k*k, B*Ho*Wo]: its forward and backward together peak below
+        # the size of those columns
+        B, Cin, Cout, H = 2, 64, 4, 16
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((B, Cin, H, H)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((Cout, Cin, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        g = rng.standard_normal((B, Cout, H, H)).astype(np.float32)
+        cols = Cin * 9 * B * H * H * 4
+        tracemalloc.start()
+        try:
+            F.conv2d(x, w, None)._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cols, f"peak {peak} bytes, columns {cols}"
 
     def test_attention_grads(self):
         rng = np.random.default_rng(23)
