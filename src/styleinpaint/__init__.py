@@ -3,7 +3,7 @@
 The package is organized around the pipeline stages:
 
 - ``nn``: minimal reverse-mode autodiff over numpy arrays (tensors, conv,
-  attention, Adam, gradient checking).
+  attention, Adam).
 - ``dataset``: procedural scene generator where several semantic regions
   share one parameterized texture style, plus patch / mask / caption
   utilities and binary persistence.
@@ -14,8 +14,8 @@ The package is organized around the pipeline stages:
   inpainting sampler.
 - ``reference``: the cross-attention-free context branch injected into the
   denoiser through zero-initialized 1x1 connectors.
-- ``evaluation``: style-cosine consistency, masked PSNR, clustering
-  statistics and benchmark reports.
+- ``evaluation``: style-cosine consistency, masked PSNR, the 2-D
+  projection export and benchmark reports.
 - ``cli``: command-line entry point wiring everything together.
 """
 

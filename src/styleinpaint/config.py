@@ -118,9 +118,17 @@ def validate_config(cfg: dict) -> None:
     for key in ("seed", "dataset.count", "dataset.styles", "psrl.n", "psrl.p",
                 "psrl.s1", "psrl.s2", "psrl.batch", "nsd.T", "nsd.phase_a",
                 "nsd.phase_b", "nsd.batch", "nsd.k", "sample.steps",
-                "sample.k", "eval.count", "eval.steps", "viz.count"):
+                "sample.k", "eval.count", "eval.steps"):
         if cfg[key] < 0:
             raise UsageError(f"{key} must be >= 0")
+    # a training step stacks the batch's images, and viz projects viz.count
+    # of them; at 0 either fails only after the inputs have been read
+    if cfg["psrl.batch"] < 1 and cfg["psrl.s1"] + cfg["psrl.s2"] > 0:
+        raise UsageError("psrl.batch must be >= 1 when psrl.s1 + psrl.s2 > 0")
+    if cfg["nsd.batch"] < 1 and cfg["nsd.phase_a"] + cfg["nsd.phase_b"] > 0:
+        raise UsageError("nsd.batch must be >= 1 when nsd.phase_a + nsd.phase_b > 0")
+    if cfg["viz.count"] < 1:
+        raise UsageError("viz.count must be >= 1")
     if cfg["dataset.styles"] < 1 and cfg["dataset.count"] + cfg["eval.count"] > 0:
         # scenes cycle through the styles: gen-dataset renders dataset.count
         # of them, eval dataset.count + eval.count

@@ -168,10 +168,9 @@ def caption_of(scene: SceneImage) -> list[int]:
     return [TOKEN_OF[shape_word], TOKEN_OF[color_word], TOKEN_OF[family_word]]
 
 
-def make_mask(image: SceneImage | np.ndarray, fraction: float, rng_seed: int) -> MaskSpec:
+def make_mask(scene: SceneImage, fraction: float, rng_seed: int) -> MaskSpec:
     """Interior rectangle covering the requested area within 2%."""
-    pixels = image.pixels if isinstance(image, SceneImage) else np.asarray(image)
-    h, w = pixels.shape[:2]
+    h, w = scene.pixels.shape[:2]
     if not 0.1 <= fraction <= 0.5:
         raise ValueError(f"mask fraction {fraction} outside [0.1, 0.5]")
     rng = derive(rng_seed, "mask")

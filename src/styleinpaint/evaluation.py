@@ -1,4 +1,4 @@
-"""Style-consistency scoring, PSNR, clustering stats, and benchmark sweeps.
+"""Style-consistency scoring, PSNR, the projection export and benchmark sweeps.
 
 The style-cosine protocol (`style_cosines`) embeds k patches from inside the
 mask and k from the surrounding context with the trained style encoder and
@@ -10,7 +10,6 @@ below it, as do the in-mask patches against a foreign-style scene.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,52 +96,6 @@ def psnr_unmasked(generated: np.ndarray, reference: np.ndarray,
     return min(10.0 * math.log10(1.0 / mse), 99.0)
 
 
-def clustering_stats(embeddings: np.ndarray, labels) -> tuple[float, float, float]:
-    """(silhouette on cosine distance, intra-label mean cos, inter mean cos)."""
-    e = np.asarray(embeddings, np.float64)
-    labels = np.asarray(labels)
-    norms = np.linalg.norm(e, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("degenerate zero embedding cannot be normalized")
-    e = e / norms
-    uniq, counts = np.unique(labels, return_counts=True)
-    if len(uniq) < 2:
-        raise ValueError("clustering stats need at least 2 distinct labels")
-    if np.allclose(e, e[0], atol=1e-12):
-        raise ValueError("all embeddings identical; silhouette is undefined")
-    singles = int((counts == 1).sum())
-    if singles:
-        # singleton clusters still count as neighbours for b, but their lone
-        # member has no within-cluster distance and drops out of the mean
-        warnings.warn(f"{singles} singleton label(s) excluded from the "
-                      f"silhouette mean", stacklevel=2)
-
-    gram = e @ e.T
-    dist = 1.0 - gram
-    same = labels[:, None] == labels[None, :]
-    off = ~np.eye(len(labels), dtype=bool)
-    intra = float(gram[same & off].mean()) if (same & off).any() else float("nan")
-    inter = float(gram[~same].mean())
-
-    onehot = (labels[:, None] == uniq[None, :]).astype(np.float64)
-    sums = dist @ onehot  # [n, C] summed distance to each cluster
-    counts_f = counts.astype(np.float64)
-    own_idx = np.searchsorted(uniq, labels)
-    n = len(labels)
-    scored = counts_f[own_idx] > 1
-    if not scored.any():
-        raise ValueError("every label is a singleton; silhouette is undefined")
-    a = sums[np.arange(n), own_idx] / np.maximum(counts_f[own_idx] - 1.0, 1.0)
-    means = sums / counts_f[None, :]
-    means[np.arange(n), own_idx] = np.inf
-    b = means.min(axis=1)
-    denom = np.maximum(a, b)
-    if np.any(denom[scored] <= 0.0):
-        raise ValueError("coincident clusters make the silhouette undefined")
-    sil = float(((b - a) / denom)[scored].mean())
-    return sil, intra, inter
-
-
 def export_projection(embeddings: np.ndarray, labels, path) -> np.ndarray:
     """Deterministic 2-D PCA projection written as `x,y,label` CSV rows."""
     e = np.asarray(embeddings, np.float64)
@@ -176,7 +129,9 @@ def _foreign_sample(samples: list[DatasetSample], i: int) -> DatasetSample | Non
 
 def run_benchmark(model, psrl: PSRLModel, dataset: list[DatasetSample],
                   config: dict) -> EvalReport:
-    """Inpaint and score each task; per-task failures become report rows.
+    """Inpaint and score each task. A task whose mask or scene cannot host
+    the patches it needs raises ValueError, which becomes its report row;
+    any other error propagates.
 
     `config` holds the `eval` keys count, k, steps, lam and paste_background,
     plus the run's seed and `nsd.use_projector`, as the `eval` command
@@ -203,7 +158,7 @@ def run_benchmark(model, psrl: PSRLModel, dataset: list[DatasetSample],
                 composite, spec.mask, _foreign_sample(samples, i), psrl, k,
                 derive(seed, "eval-embed", i), use_projector)
             rows.append(TaskRecord(i, cos_self, cos_foreign, psnr))
-        except Exception as e:  # a bad task must not abort the sweep
+        except ValueError as e:  # a bad task must not abort the sweep
             reason = " ".join(str(e).split()).replace(",", ";")
             rows.append(TaskRecord(i, None, None, None, status=reason or type(e).__name__))
 

@@ -12,8 +12,8 @@ a conv to one GEMM per pass in one of two ways, picked from the shapes:
   offset in one zeroed Gs[k*k*Cout, B*Hp*Wp], for dW and dX alike. Y and Gs
   scale with Cout where the columns scale with Cin, so a narrowing conv
   holds no columns.
-The dX of the padded layout returns to x through tensor.unpad, the backward
-of pad2d.
+The dX of the padded layout returns to x through tensor.unpad, the gradient
+of tensor.pad_array.
 
 scaled_dot_attention is one tape node that keeps only the softmax P of its
 scores, and gives the bits of the matmul/mul/softmax chain it replaces (that

@@ -49,14 +49,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -79,19 +71,15 @@ class Tensor:
                 node._parents = ()
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
+        return (f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, "
+                f"requires_grad={self.requires_grad})")
 
     # operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -100,12 +88,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __pow__(self, p):
         return power(self, p)
@@ -264,26 +246,6 @@ def power(a, p: float) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _node(out_data, (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.sqrt(a.data)
@@ -425,19 +387,6 @@ def unpad(g: np.ndarray, p: int, mode: str) -> np.ndarray:
         core[..., -1, 0] += g[..., -p:, :p].sum(axis=(-1, -2))
         core[..., -1, -1] += g[..., -p:, -p:].sum(axis=(-1, -2))
     return core
-
-
-def pad2d(a, p: int, mode: str = "zeros") -> Tensor:
-    """Pad the two trailing (spatial) axes of a [..., H, W] tensor."""
-    a = _as_tensor(a)
-    if p == 0:
-        return a
-    out_data = pad_array(a.data, p, mode)
-
-    def backward(g):
-        _accum(a, unpad(g, p, mode))
-
-    return _node(out_data, (a,), backward)
 
 
 def upsample_nearest2x(a) -> Tensor:

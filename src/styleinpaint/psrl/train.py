@@ -21,7 +21,7 @@ from ..checkpoint import PSRL_MAGIC, load_checkpoint
 from ..dataset.io import DatasetSample
 from ..dataset.scenes import crop_patches
 from ..errors import DataError, NumericsError, UsageError
-from ..nn import AdamState, no_grad
+from ..nn import AdamState
 from ..rng import derive
 from ..training import run_steps, save_training_checkpoint
 from .losses import psrl_batch_loss
@@ -127,30 +127,3 @@ def train_psrl(samples: list[DatasetSample], config: dict, seed: int,
 
 def save_psrl_checkpoint(model: PSRLModel, opt: AdamState, config: dict, path) -> None:
     save_training_checkpoint(path, PSRL_MAGIC, model.params, opt, config)
-
-
-def held_out_margin(model: PSRLModel, samples: list[DatasetSample], n: int, p: int,
-                    seed: int, use_projector: bool = True) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Intra-image vs inter-image mean cosine on held-out patches.
-
-    Returns (intra, inter, embeddings, image_labels); the margin intra-inter
-    is the headline separation number. With use_projector the patches are
-    scored through the projector head, which means something only for modes
-    that train it (`progressive`, `contrastive_only`); `stats_only` leaves
-    the projector at its random initialisation. use_projector=False scores
-    the normalized encoder statistics, which every mode trains.
-    """
-    embs, labels = [], []
-    for idx, s in enumerate(samples):
-        ps = crop_patches(s.pixels, n, p, derive(seed, "heldout", idx).integers(2 ** 63))
-        with no_grad():
-            embs.append(model.embed_patches(ps.patches, use_projector=use_projector))
-        labels.extend([idx] * n)
-    e = np.concatenate(embs)
-    labels = np.array(labels)
-    g = e @ e.T
-    same = labels[:, None] == labels[None, :]
-    off = ~np.eye(len(labels), dtype=bool)
-    intra = float(g[same & off].mean())
-    inter = float(g[~same].mean())
-    return intra, inter, e, labels

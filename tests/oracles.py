@@ -5,8 +5,9 @@ transcriptions of textbook formulas) and is deliberately independent of the
 package's vectorized code paths. Tests compare the fast implementations
 against these. The exceptions are built from tape nodes: softmax and
 scaled_dot_attention_tape, the chain whose bits the fused attention node must
-reproduce, and the single-pair losses stats_loss and contrastive_loss, which
-the batched PSRL losses are checked against.
+reproduce; pad2d, a node over the padding conv2d runs, so its gradient can be
+checked on its own; and the single-pair losses stats_loss and
+contrastive_loss, which the batched PSRL losses are checked against.
 """
 
 from __future__ import annotations
@@ -96,6 +97,20 @@ def softmax(a, axis: int = -1) -> Tensor:
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         _accum(a, (g - dot) * out_data)
+
+    return _node(out_data, (a,), backward)
+
+
+def pad2d(a, p: int, mode: str = "zeros") -> Tensor:
+    """Pad the two trailing (spatial) axes of a [..., H, W] tensor, as a tape
+    node over conv2d's own padding (tensor.pad_array and tensor.unpad)."""
+    a = _as_tensor(a)
+    if p == 0:
+        return a
+    out_data = T.pad_array(a.data, p, mode)
+
+    def backward(g):
+        _accum(a, T.unpad(g, p, mode))
 
     return _node(out_data, (a,), backward)
 

@@ -5,8 +5,8 @@ SMOKE config) with dataset.count=6, dataset.styles=3 and eval.count=6. Recipe 2
 is recipe 1 plus psrl.mode=contrastive_only, nsd.kind=linear and nsd.lam=0.5.
 A change that keeps the artefacts byte-identical prints the same prefixes
 before and after it. Each recipe runs in its own temporary directory. The
-last line is the size of src, as `find src -name '*.py' | xargs cat | wc -l`
-counts it.
+last two lines are the sizes of src and tests, as
+`find src -name '*.py' | xargs cat | wc -l` counts them.
 
 Not a test module (pytest does not collect it). From the repository root:
 
@@ -31,7 +31,8 @@ RECIPES = {
     1: RECIPE_1,
     2: RECIPE_1 + ["psrl.mode=contrastive_only", "nsd.kind=linear", "nsd.lam=0.5"],
 }
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 ARTEFACTS = ["dataset.s3im", "dataset.s3im.manifest.txt", "psrl.ckpt",
              "psrl_log.csv", "nsd.ckpt", "nsd_log.csv", "inpaint.ppm",
              "report.csv", "summary.txt", "projection.csv"]
@@ -65,8 +66,9 @@ def artefact_prefixes(overrides: list[str]) -> list[str]:
 def main() -> None:
     for number, overrides in RECIPES.items():
         print(f"recipe {number}: " + ", ".join(artefact_prefixes(overrides)))
-    lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
-    print(f"src lines: {lines}")
+    for name, root in (("src", SRC), ("tests", TESTS)):
+        lines = sum(p.read_bytes().count(b"\n") for p in root.rglob("*.py"))
+        print(f"{name} lines: {lines}")
 
 
 if __name__ == "__main__":

@@ -99,6 +99,35 @@ class TestConfig:
         assert run(["train-psrl", "--set", "psrl.n=0"]) == 1
         assert "psrl.n must be >= 2" in capsys.readouterr().err
 
+    def test_psrl_batch_positive(self, tmp_path, capsys):
+        # a step stacks psrl.batch images; at 0 train-psrl read the dataset
+        # and then failed in numpy's stack
+        with pytest.raises(UsageError, match=r"psrl.batch must be >= 1"):
+            build_config({"psrl.batch": "0"})
+        assert build_config({"psrl.batch": "0", "psrl.s1": "0",
+                             "psrl.s2": "0"})["psrl.batch"] == 0
+        assert run(["train-psrl", "--out", str(tmp_path), "--set", "psrl.batch=0"]) == 1
+        assert "psrl.batch must be >= 1" in capsys.readouterr().err
+
+    def test_nsd_batch_positive(self, tmp_path, capsys):
+        # at nsd.batch=0 train-nsd read the dataset and the PSRL checkpoint
+        # and then failed in numpy's stack
+        with pytest.raises(UsageError, match=r"nsd.batch must be >= 1"):
+            build_config({"nsd.batch": "0"})
+        assert build_config({"nsd.batch": "0", "nsd.phase_a": "0",
+                             "nsd.phase_b": "0"})["nsd.batch"] == 0
+        assert run(["train-nsd", "--out", str(tmp_path), "--set", "nsd.batch=0"]) == 1
+        assert "nsd.batch must be >= 1" in capsys.readouterr().err
+
+    def test_viz_count_positive(self, tmp_path, capsys):
+        # viz.count=0 projected no sample of a non-empty dataset and exited
+        # 2 with a data error
+        with pytest.raises(UsageError, match=r"viz.count must be >= 1"):
+            build_config({"viz.count": "0"})
+        assert build_config({"viz.count": "1"})["viz.count"] == 1
+        assert run(["viz", "--out", str(tmp_path), "--set", "viz.count=0"]) == 1
+        assert "viz.count must be >= 1" in capsys.readouterr().err
+
     def test_mask_fraction_range(self, capsys):
         # make_mask draws areas in [0.1, 0.5] and raised mid-generation
         for key, bad in (("dataset.mask_lo", "0.05"), ("dataset.mask_hi", "0.6")):

@@ -5,6 +5,7 @@ import pytest
 
 import styleinpaint.diffusion.train as nsd_train
 from configs import full_config
+from measures import gradcheck
 from oracles import attention_loops, forward_noise_loops
 from styleinpaint.checkpoint import NSDM_MAGIC
 from styleinpaint.dataset import generate_dataset
@@ -17,7 +18,6 @@ from styleinpaint.diffusion.sampler import ddpm_posterior
 from styleinpaint.errors import NumericsError
 from styleinpaint.nn import ParameterSet, Tensor
 from styleinpaint.nn import functional as F
-from styleinpaint.nn.gradcheck import gradcheck
 from styleinpaint.psrl.model import PSRLModel
 from styleinpaint.rng import derive
 from styleinpaint.training import run_steps

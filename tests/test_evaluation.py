@@ -11,15 +11,16 @@ from styleinpaint.dataset import generate_dataset
 from styleinpaint.dataset.io import DatasetSample
 from styleinpaint.dataset.scenes import crop_patches, mask_from_rect
 from styleinpaint.diffusion.train import NSDModel
-from styleinpaint.evaluation import (REPORT_HEADER, clustering_stats,
-                                     export_projection, psnr_unmasked,
-                                     run_benchmark, style_cosine_between,
-                                     style_cosines, write_report)
+from styleinpaint.evaluation import (REPORT_HEADER, export_projection,
+                                     psnr_unmasked, run_benchmark,
+                                     style_cosine_between, style_cosines,
+                                     write_report)
 from styleinpaint.psrl.model import PSRLModel
 from styleinpaint.psrl.train import train_psrl
 from styleinpaint.rng import derive
 
 from configs import eval_config, full_config
+from measures import clustering_stats
 from oracles import pca_loops, psnr_loops, silhouette_loops
 
 
@@ -302,6 +303,18 @@ class TestRunBenchmark:
         assert report.rows[0].status != "ok"
         assert report.rows[0].psnr_db is None
         assert sum(r.status == "ok" for r in report.rows) == 2
+
+    def test_program_error_propagates(self, bench_setup, monkeypatch):
+        # only a task's own ValueError becomes a row; any other error is a
+        # fault of the program and must not show up as an unscored task
+        model, psrl, samples = bench_setup
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler fault")
+
+        monkeypatch.setattr(evaluation, "sample_inpaint", broken)
+        with pytest.raises(RuntimeError, match="sampler fault"):
+            run_benchmark(model, psrl, samples, self.CFG)
 
     def test_row_is_style_cosines_of_the_composite(self, bench_setup, monkeypatch):
         model, psrl, samples = bench_setup

@@ -7,16 +7,16 @@ import pytest
 
 import oracles
 from configs import full_config
+from measures import gradcheck, held_out_margin
 from oracles import contrastive_loss, stats_loss
 from styleinpaint.dataset import crop_patches, generate_dataset, mask_from_rect
 from styleinpaint.errors import DataError
-from styleinpaint.nn import Tensor, gradcheck, no_grad
+from styleinpaint.nn import Tensor, no_grad
 from styleinpaint.psrl import (PSRLModel, StyleFeature, embed_style,
                                psrl_batch_loss, style_contrastive_loss,
                                train_psrl)
 from styleinpaint.psrl.losses import _pairwise_stats_mean
 from styleinpaint.psrl.model import _least_masked_windows
-from styleinpaint.psrl.train import held_out_margin
 
 
 def f64_model(seed=0):
