@@ -47,10 +47,22 @@ def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
         raise
 
 
+class _Echo(dict):
+    """A checkpoint's config echo; a key it lacks is a DataError naming both."""
+
+    def __init__(self, path, values: dict):
+        super().__init__(values)
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataError(f"checkpoint {self.path} echoes no '{key}'")
+
+
 def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict, dict]:
     """The config echo and the tensors by path. With `params_only` the
     optimizer moments (the "opt." paths) are seeked past, not read, and
-    left out of the tensors."""
+    left out of the tensors. An echo that is not a JSON object, or a key
+    read from it that it lacks, is a DataError."""
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         got = f.read(len(magic))
@@ -66,7 +78,12 @@ def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict
             return buf
 
         (jlen,) = struct.unpack("<I", take(4))
-        config = json.loads(take(jlen).decode("utf-8"))
+        try:
+            config = json.loads(take(jlen).decode("utf-8"))
+        except ValueError:
+            config = None
+        if not isinstance(config, dict):
+            raise DataError(f"checkpoint {path}: malformed config echo")
         (count,) = struct.unpack("<I", take(4))
         tensors = {}
         for _ in range(count):
@@ -81,4 +98,22 @@ def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict
                 continue
             data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
             tensors[name] = data.copy()
-    return config, tensors
+    return _Echo(path, config), tensors
+
+
+def restore(tensors: dict, params, source: str, opt=None) -> None:
+    """Copy a loaded checkpoint's tensors into `params`, and with `opt` make
+    the "opt.m."/"opt.v." arrays its Adam moments, popping each from `tensors`;
+    a missing or misshapen tensor is a DataError naming `source` and it."""
+    def take(name, shape):
+        arr = tensors.pop(name, None)
+        if arr is None or arr.shape != shape:
+            got = "missing" if arr is None else f"of shape {arr.shape}"
+            raise DataError(f"{source}: tensor '{name}' {got}, expected shape {shape}")
+        return arr
+
+    for name, t in params.items():
+        t.data[...] = take(name, t.shape)
+        if opt is not None:
+            opt.m[name] = take("opt.m." + name, t.shape)
+            opt.v[name] = take("opt.v." + name, t.shape)

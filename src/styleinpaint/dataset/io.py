@@ -8,6 +8,7 @@ seed. Fixed endianness keeps files platform-independent.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -87,26 +88,21 @@ def write_ppm(pixels: np.ndarray, path) -> None:
         f.write(data.tobytes())
 
 
+# "P6"; width, height and maxval, each after whitespace or comments; one whitespace byte
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_ppm(path) -> np.ndarray:
     """Parse a binary PPM back into a [H, W, 3] float32 image in [0, 1]."""
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(b"P6"):
         raise DataError("not a P6 PPM file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":  # comment line
-            pos = blob.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(blob[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = _PPM_HEADER.match(blob)
+    if header is None:
+        raise DataError("malformed PPM header")
+    pos = header.end()
+    w, h, maxval = (int(f) for f in header.groups())
     if maxval != 255:
         raise DataError(f"unsupported PPM maxval {maxval}")
     raw = blob[pos:pos + h * w * 3]

@@ -201,20 +201,18 @@ class Denoiser:
 
     def backbone(self, x: Tensor, t_arr: np.ndarray,
                  bundle: ConditioningBundle | None,
-                 reference_features: list | None) -> dict[str, Tensor]:
-        """Run all five blocks; returns per-block outputs keyed by name."""
-        refs = dict(zip(BLOCKS, reference_features)) if reference_features else {}
+                 reference_features: list | None) -> list[Tensor]:
+        """Run all five blocks, each given its reference feature when there
+        are any; returns the block outputs. Both lists are in BLOCKS order."""
+        refs = reference_features or [None] * len(BLOCKS)
         temb = self.time_embedding(t_arr)
         h0 = F.conv2d(x, self.in_w, self.in_b)
-        feats = {}
-        feats["d1"] = self.d1(h0, temb, bundle, refs.get("d1"))
-        feats["d2"] = self.d2(feats["d1"], temb, bundle, refs.get("d2"))
-        feats["mid"] = self.mid(feats["d2"], temb, bundle, refs.get("mid"))
-        u1_in = concat([feats["mid"], feats["d2"]], axis=1)
-        feats["u1"] = self.u1(u1_in, temb, bundle, refs.get("u1"))
-        u2_in = concat([upsample_nearest2x(feats["u1"]), feats["d1"]], axis=1)
-        feats["u2"] = self.u2(u2_in, temb, bundle, refs.get("u2"))
-        return feats
+        d1 = self.d1(h0, temb, bundle, refs[0])
+        d2 = self.d2(d1, temb, bundle, refs[1])
+        mid = self.mid(d2, temb, bundle, refs[2])
+        u1 = self.u1(concat([mid, d2], axis=1), temb, bundle, refs[3])
+        u2 = self.u2(concat([upsample_nearest2x(u1), d1], axis=1), temb, bundle, refs[4])
+        return [d1, d2, mid, u1, u2]
 
     def predict_noise(self, x_t, t, bundle: ConditioningBundle,
                       reference_features: list | None = None) -> Tensor:
@@ -230,5 +228,5 @@ class Denoiser:
         if reference_features is not None and len(reference_features) != len(BLOCKS):
             raise ValueError(f"expected {len(BLOCKS)} reference features, "
                              f"got {len(reference_features)}")
-        feats = self.backbone(x, t_arr, bundle, reference_features)
-        return F.conv2d(upsample_nearest2x(feats["u2"]), self.out_w, self.out_b)
+        u2 = self.backbone(x, t_arr, bundle, reference_features)[-1]
+        return F.conv2d(upsample_nearest2x(u2), self.out_w, self.out_b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..checkpoint import NSDM_MAGIC, load_checkpoint
+from ..checkpoint import NSDM_MAGIC, load_checkpoint, restore
 from ..dataset.io import DatasetSample
 from ..dataset.scenes import mask_from_rect
 from ..errors import DataError
@@ -56,8 +56,7 @@ class NSDModel:
     def from_checkpoint(cls, path) -> tuple["NSDModel", dict]:
         config, tensors = load_checkpoint(path, NSDM_MAGIC, params_only=True)
         model = cls(config["seed"], T=config["T"], kind=config["kind"])
-        for name in model.params.paths():
-            model.params[name].data[...] = tensors[name]
+        restore(tensors, model.params, f"checkpoint {path}")
         return model, config
 
 

@@ -5,6 +5,13 @@ closure scatters gradients into its parents. Training runs in float32;
 float64 inputs are supported end to end so finite-difference checks can run
 at full precision. All operations are pure functions of their inputs (no
 global mutable state is read), which keeps replays deterministic.
+
+An op states its forward value and its local derivative(s) da(g), db(g),
+and `_unary(a, out, da)` or `_binary(a, b, out, da, db)` builds the node;
+`_binary` skips an operand that needs no grad and sums a broadcast gradient
+back to its operand's shape. Three ops build their own `_node`: `concat` has
+any number of operands, and `functional.conv2d` and `scaled_dot_attention`
+share intermediates between their operands' gradients.
 """
 
 from __future__ import annotations
@@ -180,122 +187,87 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _binary(a: Tensor, b: Tensor, out_data: np.ndarray, da, db) -> Tensor:
+    """The node of a two-operand op; da(g) and db(g) give each operand's
+    gradient at the output's shape, called only if it requires grad."""
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(da(g), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(db(g), b.data.shape))
+
+    return _node(out_data, (a, b), backward)
+
+
+def _unary(a: Tensor, out_data: np.ndarray, da) -> Tensor:
+    """The node of a one-operand op; da(g) gives a's gradient at a's shape."""
+    return _node(out_data, (a,), lambda g: _accum(a, da(g)))
+
+
 # ---------------------------------------------------------------- arithmetic
 
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out_data, (a, b), backward)
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     p = float(p)
-    out_data = a.data ** p
-
-    def backward(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, a.data ** p, lambda g: g * p * a.data ** (p - 1.0))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.sqrt(a.data)
-
-    def backward(g):
-        _accum(a, g * (0.5 / out_data))
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, out_data, lambda g: g * (0.5 / out_data))
 
 
 def relu(a) -> Tensor:
     """Elementwise max(0, x). The subgradient at exactly 0 is taken as 0."""
     a = _as_tensor(a)
     mask = a.data > 0
-    out_data = np.where(mask, a.data, 0)
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, np.where(mask, a.data, 0), lambda g: g * mask)
 
 
 # ---------------------------------------------------------------- reductions
 
 
+def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's gradient g, broadcast back over its input a's shape."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.data.shape)
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims),
+                  lambda g: _spread(g, a, axis, keepdims))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
     denom = a.data.size / max(out_data.size, 1)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape) / denom)
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, out_data, lambda g: _spread(g, a, axis, keepdims) / denom)
 
 
 # ------------------------------------------------------------- shape algebra
@@ -303,24 +275,14 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    out_data = a.data.transpose(axes)
     inv = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accum(a, g.transpose(inv))
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, a.data.transpose(axes), lambda g: g.transpose(inv))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -341,14 +303,13 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data[idx]
 
-    def backward(g):
+    def da(g):
         full = np.zeros_like(a.data)
         np.add.at(full, idx, g)  # accumulate: idx may repeat (embedding lookups)
-        _accum(a, full)
+        return full
 
-    return _node(out_data, (a,), backward)
+    return _unary(a, a.data[idx], da)
 
 
 def pad_array(a: np.ndarray, p: int, mode: str) -> np.ndarray:
@@ -392,13 +353,9 @@ def unpad(g: np.ndarray, p: int, mode: str) -> np.ndarray:
 def upsample_nearest2x(a) -> Tensor:
     """Nearest-neighbor 2x upsampling of a [B, C, H, W] tensor."""
     a = _as_tensor(a)
-    out_data = a.data.repeat(2, axis=2).repeat(2, axis=3)
-
-    def backward(g):
-        b, c, h2, w2 = g.shape
-        _accum(a, g.reshape(b, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)))
-
-    return _node(out_data, (a,), backward)
+    b, c, h, w = a.data.shape
+    return _unary(a, a.data.repeat(2, axis=2).repeat(2, axis=3),
+                  lambda g: g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)))
 
 
 # ------------------------------------------------------------ linear algebra
@@ -407,15 +364,9 @@ def upsample_nearest2x(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product supporting 2-D weights and batched 3-D operands."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
+    return _binary(a, b, a.data @ b.data,
+                   lambda g: g @ np.swapaxes(b.data, -1, -2),
+                   lambda g: np.swapaxes(a.data, -1, -2) @ g)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -427,12 +378,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     out_data = np.log(s) + m
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
-
-    def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(a, gg * (e / s))
-
-    return _node(out_data, (a,), backward)
+    return _unary(a, out_data, lambda g: _spread(g, a, axis, keepdims) * (e / s))
 
 
 def logaddexp(a, b) -> Tensor:
@@ -442,10 +388,4 @@ def logaddexp(a, b) -> Tensor:
     ea = np.exp(a.data - m)
     eb = np.exp(b.data - m)
     s = ea + eb
-    out_data = np.log(s) + m
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * ea / s, a.data.shape))
-        _accum(b, _unbroadcast(g * eb / s, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
+    return _binary(a, b, np.log(s) + m, lambda g: g * ea / s, lambda g: g * eb / s)

@@ -38,17 +38,21 @@ def _safe_norm(sumsq: Tensor) -> Tensor:
     return _floored(sumsq, _NORM_FLOOR) ** 0.5
 
 
+def _distances(a: Tensor, b: Tensor) -> Tensor:
+    """||a_i - b_j|| for every row i of a and j of b; a and b are [..., N, C]
+    and the result is [..., N, N]."""
+    d = sub(reshape(a, a.shape[:-1] + (1, a.shape[-1])),
+            reshape(b, b.shape[:-2] + (1,) + b.shape[-2:]))
+    return _safe_norm(tsum(mul(d, d), axis=-1))
+
+
 def _pairwise_stats_mean(mu: Tensor, sigma: Tensor) -> Tensor:
     """Mean ||mu_i - mu_j|| + ||sigma_i - sigma_j|| over unordered patch
     pairs (i, j); mu/sigma are [..., N, C]. The numerator of L_x and L_y."""
     n = mu.shape[-2]
     total = None
     for part in (mu, sigma):
-        lead = part.shape[:-2]
-        a = reshape(part, lead + (n, 1, part.shape[-1]))
-        b = reshape(part, lead + (1, n, part.shape[-1]))
-        d = sub(a, b)
-        norms = _safe_norm(tsum(mul(d, d), axis=-1))  # [..., N, N]
+        norms = _distances(part, part)  # [..., N, N]
         iu = np.triu(np.ones((n, n), dtype=np.float32), k=1)
         pairs = tsum(mul(norms, iu)) / (norms.size / (n * n) * n * (n - 1) / 2)
         total = pairs if total is None else add(total, pairs)
@@ -59,11 +63,9 @@ def _cross_stats_mean(mu_x: Tensor, sigma_x: Tensor, mu_y: Tensor,
                       sigma_y: Tensor) -> Tensor:
     """Mean ||mu_x - mu_y|| + ||sigma_x - sigma_y|| over every (X patch,
     Y patch) pair of each image pair; inputs are [B, N, C]."""
-    b, n, c = mu_x.shape
     total = None
     for px, py in ((mu_x, mu_y), (sigma_x, sigma_y)):
-        d = sub(reshape(px, (b, n, 1, c)), reshape(py, (b, 1, n, c)))
-        part = tmean(_safe_norm(tsum(mul(d, d), axis=-1)))  # over [B, N, N]
+        part = tmean(_distances(px, py))  # over [B, N, N]
         total = part if total is None else add(total, part)
     return total
 

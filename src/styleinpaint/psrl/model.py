@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..checkpoint import PSRL_MAGIC, load_checkpoint
+from ..checkpoint import PSRL_MAGIC, load_checkpoint, restore
 from ..dataset.scenes import crop_patches, first_fit, window_counts
 from ..nn import ParameterSet, Tensor, concat, no_grad, relu
 from ..nn import functional as F
@@ -124,8 +124,7 @@ class PSRLModel:
     def from_checkpoint(cls, path) -> tuple["PSRLModel", dict]:
         config, tensors = load_checkpoint(path, PSRL_MAGIC, params_only=True)
         model = cls(config["seed"], patch_size=config.get("p", 16))
-        for name in model.params.paths():
-            model.params[name].data[...] = tensors[name]
+        restore(tensors, model.params, f"checkpoint {path}")
         return model, config
 
 

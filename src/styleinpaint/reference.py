@@ -32,20 +32,17 @@ class ZeroConnector:
 class ReferenceNet:
     """Denoiser-shaped feature extractor over (x_t, x_mask, x_m)."""
 
-    SITE_CHANNELS = {"d1": 128, "d2": 128, "mid": 128, "u1": 128, "u2": 64}
-
     def __init__(self, params: ParameterSet, rng, T: int):
         self.net = Denoiser(params, rng, T, in_channels=7, prefix="ref",
                             cross_attention=False, head=False)
-        self.connectors = [ZeroConnector(params, f"con/{name}", self.SITE_CHANNELS[name])
+        self.connectors = [ZeroConnector(params, f"con/{name}", getattr(self.net, name).cout)
                            for name in BLOCKS]
 
     def features(self, ref_input, t) -> list[Tensor]:
         """One feature map per injection site, in denoiser block order, for
         a [B,7,H,W] array from build_ref_input."""
         x = Tensor(np.asarray(ref_input, np.float32))
-        feats = self.net.backbone(x, self.net._check_t(t), None, None)
-        return [feats[name] for name in BLOCKS]
+        return self.net.backbone(x, self.net._check_t(t), None, None)
 
     def connected_features(self, ref_input, t) -> list[Tensor]:
         """Connector outputs ready to add inside the denoiser blocks."""

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import restore, save_checkpoint
 from .errors import NumericsError
 from .nn import AdamState, ParameterSet, Tensor, adam_step
 
@@ -32,21 +32,16 @@ def run_steps(params: ParameterSet, config: dict, seed: int, total_steps: int,
 
     With `resumed` (the checkpoint's tensors, `config` being its echo) the
     parameters and Adam moments are restored and training continues from
-    the echoed step. The restore consumes `resumed`: parameters are copied
-    into place, the Adam moments become the loaded arrays themselves, and
-    each entry is popped, so the checkpoint is not held twice while
-    training. The checkpoint echoes `seed`, the step count, and the `echo`
-    keys of `config`. A resumed run's log keeps the rows of the file at
-    `log_path` for the steps before the resumed one.
+    the echoed step; `checkpoint.restore` consumes `resumed`, so the
+    checkpoint is not held twice. The checkpoint echoes `seed`, the step
+    count, and the `echo` keys of `config`. A resumed run's log keeps the
+    rows of the file at `log_path` for the steps before the resumed one.
     """
     opt = AdamState(lr=config["lr"])
     start = 0
     if resumed is not None:
         opt.step, start = config["opt_step"], config["step"]
-        for name in params.paths():
-            params[name].data[...] = resumed.pop(name)
-            opt.m[name] = resumed.pop("opt.m." + name)
-            opt.v[name] = resumed.pop("opt.v." + name)
+        restore(resumed, params, "resumed checkpoint", opt)
 
     rows = []
     for step in range(start, total_steps):

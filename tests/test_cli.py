@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -347,6 +348,16 @@ class TestInpaint:
                     "--out", str(tmp_path / "empty")] + self.ARGS) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [b"P6\n64 x\n255\n", b"P6\n64", b"P6\n# no newline"],
+                             ids=["not_an_integer", "cut_short", "open_comment"])
+    def test_malformed_ppm_header_is_data_error(self, workspace, tmp_path, header, capsys):
+        # like an unsupported maxval, a header that cannot be parsed is a data error
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(header)
+        assert run(["inpaint", str(path), "8,8,24,24", "disc",
+                    "--out", workspace] + self.ARGS) == 2
+        assert "data error: malformed PPM header" in capsys.readouterr().err
+
     def test_missing_image(self, workspace, capsys):
         assert run(["inpaint", "/no/such.ppm", "8,8,24,24", "disc",
                     "--out", workspace] + self.ARGS) == 2
@@ -436,6 +447,45 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(DataError, match="truncated checkpoint"):
             load_checkpoint(path, PSRL_MAGIC, params_only=params_only)
+
+    @staticmethod
+    def _corrupt_echo(path, blob: bytes) -> None:
+        # swap the echo for raw bytes: magic, u32 length, echo, rest
+        data = path.read_bytes()
+        (jlen,) = struct.unpack("<I", data[8:12])
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + jlen:])
+
+    @pytest.mark.parametrize("fault", ["echo_not_json", "echo_without_seed",
+                                       "missing_tensor", "wrong_shape"])
+    def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path, fault, capsys):
+        # a checkpoint the program cannot use is a data error naming the
+        # checkpoint and the echo key or tensor at fault
+        ckpt = tmp_path / "psrl.ckpt"
+        cfg, tensors = load_checkpoint(f"{workspace}/psrl.ckpt", PSRL_MAGIC)
+        conv = next(name for name in sorted(tensors)
+                    if not name.startswith("opt.") and tensors[name].ndim == 4)
+        if fault == "echo_without_seed":
+            del cfg["seed"]
+        elif fault == "missing_tensor":
+            del tensors[conv]
+        elif fault == "wrong_shape":
+            tensors[conv] = tensors[conv][: tensors[conv].shape[0] // 2]
+        save_checkpoint(ckpt, PSRL_MAGIC, cfg, tensors)
+        if fault == "echo_not_json":
+            self._corrupt_echo(ckpt, b"{'seed': 7}")
+        assert run(["viz", "--out", workspace, "--set", f"psrl.checkpoint={ckpt}",
+                    "--set", f"viz.file={tmp_path / 'v.csv'}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err
+        assert {"echo_not_json": "config echo", "echo_without_seed": "'seed'",
+                "missing_tensor": conv, "wrong_shape": conv}[fault] in err
+        if fault == "echo_without_seed":
+            out = tmp_path / "r"
+            out.mkdir()
+            shutil.copy(f"{workspace}/dataset.s3im", out)
+            assert run(["train-psrl", "--out", str(out), "--resume", str(ckpt)] + PSRL) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "'seed'" in err and str(ckpt) in err
 
 
 class TestUsageErrors:

@@ -384,6 +384,43 @@ class TestGradients:
 
         gradcheck(f, [x], tol=1e-5)
 
+    # operand shapes that broadcast against each other, so both gradients
+    # are summed back to their operand's shape
+    BINARY_OPS = {
+        "add": (nn.add, (3, 1, 4), (2, 4)),
+        "sub": (nn.sub, (3, 1, 4), (2, 4)),
+        "mul": (nn.mul, (3, 1, 4), (2, 4)),
+        "div": (nn.div, (3, 1, 4), (2, 4)),
+        "matmul": (nn.matmul, (2, 1, 3, 4), (3, 4, 5)),
+        "logaddexp": (nn.logaddexp, (3, 1, 4), (2, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BINARY_OPS))
+    def test_binary_node_contract(self, name):
+        # both operands trainable: gradients match finite differences; then
+        # each frozen in turn: it gets no gradient and the other the same bits
+        op, sa, sb = self.BINARY_OPS[name]
+        rng = np.random.default_rng(19)
+        a0 = rng.standard_normal(sa)
+        b0 = rng.uniform(0.5, 1.5, sb) * rng.choice([-1.0, 1.0], sb)  # away from 0 for div
+        w = rng.standard_normal(op(Tensor(a0), Tensor(b0)).shape)
+
+        def grads(frozen=None):
+            a, b = Tensor(a0.copy(), True), Tensor(b0.copy(), True)
+            if frozen is not None:
+                (a, b)[frozen].requires_grad = False
+            (op(a, b) * w).sum().backward()
+            return a.grad, b.grad
+
+        a, b = Tensor(a0.copy()), Tensor(b0.copy())
+        gradcheck(lambda: (op(a, b) * w).sum(), [a, b], tol=1e-6)
+        both = grads()
+        assert both[0].shape == sa and both[1].shape == sb
+        for frozen in (0, 1):
+            got = grads(frozen)
+            assert got[frozen] is None
+            assert np.array_equal(got[1 - frozen], both[1 - frozen])
+
     def test_grad_accumulates_when_input_reused(self):
         a = Tensor(np.array([2.0], dtype=np.float64), requires_grad=True)
         out = a * a + a * 3.0
