@@ -15,10 +15,13 @@ import struct
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import DataError
 
 PSRL_MAGIC = b"PSRL0001"
 NSDM_MAGIC = b"NSDM0001"
+# the config prefix of the keys each kind of checkpoint echoes
+ECHO_PREFIX = {PSRL_MAGIC: "psrl.", NSDM_MAGIC: "nsd."}
 
 
 def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
@@ -48,21 +51,39 @@ def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
 
 
 class _Echo(dict):
-    """A checkpoint's config echo; a key it lacks is a DataError naming both."""
+    """A checkpoint's config echo. Reading a key it lacks, or a value that
+    is not of the key's type, is a DataError naming the checkpoint and the
+    key. An echoed config key has its `DEFAULTS` type under the trainer's
+    prefix, and `seed` and the step counts are ints; an int serves where a
+    float is expected. Other keys are read unchecked."""
 
-    def __init__(self, path, values: dict):
+    def __init__(self, path, values: dict, prefix: str):
         super().__init__(values)
         self.path = path
+        self.prefix = prefix
 
     def __missing__(self, key):
         raise DataError(f"checkpoint {self.path} echoes no '{key}'")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        kind = int if key in ("seed", "step", "opt_step") else \
+            type(DEFAULTS.get(self.prefix + key, value))
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise DataError(f"checkpoint {self.path} echoes '{key}' as {value!r}, "
+                            f"expected {kind.__name__}")
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
 
 def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict, dict]:
     """The config echo and the tensors by path. With `params_only` the
     optimizer moments (the "opt." paths) are seeked past, not read, and
     left out of the tensors. An echo that is not a JSON object, or a key
-    read from it that it lacks, is a DataError."""
+    read from it that it lacks or that has a value of the wrong type, is a
+    DataError."""
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         got = f.read(len(magic))
@@ -98,7 +119,7 @@ def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict
                 continue
             data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
             tensors[name] = data.copy()
-    return _Echo(path, config), tensors
+    return _Echo(path, config, ECHO_PREFIX[magic]), tensors
 
 
 def restore(tensors: dict, params, source: str, opt=None) -> None:

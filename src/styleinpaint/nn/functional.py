@@ -4,8 +4,14 @@ conv2d is the hot path, one tape node over (x, w[, b]) that pads x as a
 plain array and keeps no padded copy; backward pads x.data again. It lowers
 a conv to one GEMM per pass in one of two ways, picked from the shapes:
 - input side (_im2col): channel-major columns [Cin*k*k, B*Ho*Wo] of the
-  padded input, out = W @ cols. Backward rebuilds the columns for dW and
-  adds the dX slab of each kernel tap back into the padded layout.
+  padded input, out = W @ cols. Backward rebuilds the columns for dW
+  (holding them at PSRL shapes lifted psrl-train's peak_mem_mib from 79 to
+  97 MiB, +23% against the benchmark's 0.15 bound) and adds the dX slab of
+  each kernel tap back into the padded layout. The pixel axis runs
+  (b, yo, xo), or batch innermost, (yo, xo, b), when the batch is longer
+  than an output row and x needs a gradient: copies then move runs of B
+  values, not of Wo. dW always sums in (b, yo, xo) order, which keeps its
+  bits; the output and dX are the same in either order.
 - output side (_narrow, stride 1 with Cout < Cin): Y = Wk[k*k*Cout, Cin] @
   Xc[Cin, B*Hp*Wp] gives every tap's output at every padded pixel, and the
   output sums the k*k shifted slices of Y. Backward places g at each tap's
@@ -62,43 +68,88 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
 def _im2col(x: Tensor, w: Tensor, stride: int, padding: int, pad_mode: str):
     """Input-side lowering. Row (c, i, j) of the columns holds tap (i, j) of
-    channel c at every output pixel. Building them copies one output row of
-    Wo pixels at a time, read contiguously from the input at stride 1, where
-    a row-major [B*Ho*Wo, Cin*kh*kw] im2col copies runs of kw pixels that
-    lie H*W apart. Backward rebuilds them, cheaper than holding them.
+    channel c at every output pixel, so building them copies runs along the
+    pixel axis, where a row-major [B*Ho*Wo, Cin*kh*kw] im2col copies runs of
+    kw pixels that lie H*W apart. The count of runs, not the bytes moved,
+    sets the cost of these copies, so the pixel order follows the shapes:
+    - (b, yo, xo): a run is one output row of Wo pixels of the padded
+      [B, Cin, Hp, Wp] input.
+    - (yo, xo, b), batch innermost, when B > Wo and x needs a gradient: x
+      is padded into [Cin, Hp, Wp, B], a run is B values (Wo*B at stride
+      1), and the dX scatter adds each tap in runs as long. B > Wo is when
+      these runs are the longer ones at every stride. The order costs
+      transposes into it (x, and g for dX) and out of it (dX, and the
+      output a channel at a time, so that each block stays in cache). The
+      dX scatter's nine short-run passes repay them; the forward alone did
+      not at the style encoder's first conv (3 -> 16 at 16x16, batch 128),
+      whose input is the data and needs no gradient.
+
+    Both orders give the same bits, small products aside (see below). Each
+    output is the same dot product over K = (c, i, j) whatever the order of
+    the pixel axis, and each padded pixel of dX adds its taps in row-major
+    order starting from zero. dW sums over the pixel axis, so its order is
+    not free: backward always rebuilds the (b, yo, xo) columns for it.
+    Summed in (yo, xo, b) order, 94% of dW's entries changed, by up to
+    3.4e-4 at the encoder's shapes.
+
+    Backward rebuilds the columns rather than hold them. At NSD shapes they
+    are a step's largest array; at PSRL shapes, holding them lifted
+    psrl-train's peak_mem_mib from 79 to 97 MiB (+23%, over the benchmark's
+    0.15 bound) for no faster step.
 
     Every output element is the same dot product as with the row-major
     layout, summed over K in the same order, so OpenBLAS's blocked GEMM
     gives bit-identical results. Products small enough for its small-matrix
     kernels (about 1e6 multiply-adds or fewer) may differ from the row-major
-    layout in the last bit.
+    layout, or between the two pixel orders, in the last bit.
     """
     Cout, Cin, kh, kw = w.data.shape
     B, _, H, W = x.data.shape
     Hp, Wp = H + 2 * padding, W + 2 * padding
     Ho = (Hp - kh) // stride + 1
     Wo = (Wp - kw) // stride + 1
+    batch_inner = B > Wo and x.requires_grad
 
-    def im2col() -> np.ndarray:
-        xp = T.pad_array(x.data, padding, pad_mode)
+    def im2col(inner: bool) -> np.ndarray:  # batch innermost, or (b, yo, xo)
+        if inner:  # a [B, Cin, Hp, Wp] view of [Cin, Hp, Wp, B] memory
+            xp = (np.zeros if pad_mode == "zeros" else np.empty)((Cin, Hp, Wp, B), x.data.dtype)
+            xp = T.pad_array(x.data, padding, pad_mode, out=xp.transpose(3, 0, 1, 2))
+        else:
+            xp = T.pad_array(x.data, padding, pad_mode)
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]  # [B, Cin, Ho, Wo, kh, kw]
-        return win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * kh * kw, B * Ho * Wo)
+        pixels = (2, 3, 0) if inner else (0, 2, 3)
+        return win.transpose(1, 4, 5, *pixels).reshape(Cin * kh * kw, B * Ho * Wo)
 
     wmat = w.data.reshape(Cout, Cin * kh * kw)
-    out_cm = (wmat @ im2col()).reshape(Cout, B, Ho, Wo)
+    y = wmat @ im2col(batch_inner)
+    if batch_inner:  # back to (b, yo, xo) a channel at a time, in cache
+        y_t = y.reshape(Cout, Ho * Wo, B)
+        y = np.empty((Cout, B, Ho * Wo), y.dtype)
+        for c in range(Cout):
+            y[c] = y_t[c].T
+    out_cm = y.reshape(Cout, B, Ho, Wo)
 
     def grads(g_cm, need_w, need_x):
         gm = g_cm.reshape(Cout, B * Ho * Wo)
         dw = dx = None
         if need_w:
-            dw = (gm @ im2col().T).reshape(w.data.shape)
+            dw = (gm @ im2col(False).T).reshape(w.data.shape)
         if need_x:
-            gcols = (wmat.T @ gm).reshape(Cin, kh, kw, B, Ho, Wo)
+            if batch_inner:
+                gm = gm.reshape(Cout, B, Ho * Wo).transpose(0, 2, 1).reshape(Cout, Ho * Wo * B)
+                gcols = (wmat.T @ gm).reshape(Cin, kh, kw, Ho, Wo, B).transpose(0, 1, 2, 5, 3, 4)
+            else:
+                gcols = (wmat.T @ gm).reshape(Cin, kh, kw, B, Ho, Wo)
             # unpadded, dX keeps x's memory layout (x may be a transposed
-            # view, as a block's unflattened tokens are)
-            dx = np.zeros_like(x.data) if padding == 0 else \
-                np.zeros((B, Cin, Hp, Wp), x.data.dtype)
+            # view, as a block's unflattened tokens are); padded, the
+            # columns' pixel order
+            if padding == 0:
+                dx = np.zeros_like(x.data)
+            elif batch_inner:
+                dx = np.zeros((Cin, Hp, Wp, B), x.data.dtype).transpose(3, 0, 1, 2)
+            else:
+                dx = np.zeros((B, Cin, Hp, Wp), x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dx[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += \

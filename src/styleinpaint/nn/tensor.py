@@ -312,18 +312,20 @@ def getitem(a, idx) -> Tensor:
     return _unary(a, a.data[idx], da)
 
 
-def pad_array(a: np.ndarray, p: int, mode: str) -> np.ndarray:
+def pad_array(a: np.ndarray, p: int, mode: str, out: np.ndarray | None = None) -> np.ndarray:
     """Pad the two trailing (spatial) axes of a [..., H, W] array by p, as
-    np.pad's "constant" or "edge" mode does at less cost per call; p = 0
-    returns `a` itself."""
-    if p == 0:
-        return a
+    np.pad's "constant" or "edge" mode does at less cost per call. Without
+    `out`, p = 0 returns `a` itself. `out` is a [..., H+2p, W+2p] array of
+    any memory layout to fill, zeroed if the mode is "zeros"."""
+    if out is None:
+        if p == 0:
+            return a
+        shape = a.shape[:-2] + (a.shape[-2] + 2 * p, a.shape[-1] + 2 * p)
+        out = np.zeros(shape, a.dtype) if mode == "zeros" else np.empty(shape, a.dtype)
     if mode not in ("zeros", "edge"):
         raise ValueError(f"unknown pad mode '{mode}'")
-    shape = a.shape[:-2] + (a.shape[-2] + 2 * p, a.shape[-1] + 2 * p)
-    out = np.zeros(shape, a.dtype) if mode == "zeros" else np.empty(shape, a.dtype)
-    out[..., p:-p, p:-p] = a
-    if mode == "edge":
+    out[..., p:p + a.shape[-2], p:p + a.shape[-1]] = a
+    if mode == "edge" and p:
         out[..., :p, p:-p] = a[..., :1, :]
         out[..., -p:, p:-p] = a[..., -1:, :]
         out[..., :, :p] = out[..., :, p:p + 1]

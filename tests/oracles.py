@@ -3,11 +3,14 @@
 Everything here is written as plain loops over numpy scalars (or direct
 transcriptions of textbook formulas) and is deliberately independent of the
 package's vectorized code paths. Tests compare the fast implementations
-against these. The exceptions are built from tape nodes: softmax and
-scaled_dot_attention_tape, the chain whose bits the fused attention node must
-reproduce; pad2d, a node over the padding conv2d runs, so its gradient can be
-checked on its own; and the single-pair losses stats_loss and
-contrastive_loss, which the batched PSRL losses are checked against.
+against these. The exceptions are bit references, whose arithmetic the
+package must repeat exactly: conv2d_bhw, conv2d's input-side lowering with
+its pixel axis always in (b, yo, xo) order; and, built from tape nodes,
+softmax and scaled_dot_attention_tape, the chain whose bits the fused
+attention node must reproduce. pad2d is a node over the padding conv2d runs,
+so its gradient can be checked on its own, and the single-pair losses
+stats_loss and contrastive_loss are what the batched PSRL losses are
+checked against.
 """
 
 from __future__ import annotations
@@ -48,6 +51,34 @@ def conv2d_loops(x, w, b=None, stride=1, padding=1, pad_mode="zeros"):
                                 acc += x[n, ci, i * stride + u, j * stride + v] * w[co, ci, u, v]
                     out[n, co, i, j] = acc + (b[co] if b is not None else 0.0)
     return out
+
+
+def conv2d_bhw(x, w, b, g, stride=1, padding=1, pad_mode="zeros"):
+    """conv2d's input-side lowering (functional._im2col) with its pixel axis
+    in (b, yo, xo) order at every shape: the output and, under the upstream
+    gradient g, dW, db and dX. conv2d must give these bits in either pixel
+    order."""
+    Cout, Cin, kh, kw = w.shape
+    B, _, H, W = x.shape
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    Ho = (Hp - kh) // stride + 1
+    Wo = (Wp - kw) // stride + 1
+    xp = T.pad_array(x, padding, pad_mode)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Cin * kh * kw, B * Ho * Wo)
+    wmat = w.reshape(Cout, Cin * kh * kw)
+    out = (wmat @ cols).reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3)
+    out = np.ascontiguousarray(out + b.reshape(1, Cout, 1, 1))
+    gm = g.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
+    dw = (gm @ cols.T).reshape(w.shape)
+    gcols = (wmat.T @ gm).reshape(Cin, kh, kw, B, Ho, Wo)
+    dx = np.zeros((B, Cin, Hp, Wp), x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += \
+                gcols[:, i, j].transpose(1, 0, 2, 3)
+    return out, dw, g.sum(axis=(0, 2, 3)), T.unpad(dx, padding, pad_mode)
 
 
 def linear_loops(x, w, b=None):

@@ -5,7 +5,8 @@ SMOKE config) with dataset.count=6, dataset.styles=3 and eval.count=6. Recipe 2
 is recipe 1 plus psrl.mode=contrastive_only, nsd.kind=linear and nsd.lam=0.5.
 A change that keeps the artefacts byte-identical prints the same prefixes
 before and after it. Each recipe runs in its own temporary directory. The
-last two lines are the sizes of src and tests, as
+first line is the BLAS thread setting, which the script fixes at 2 before
+numpy loads, and the last two lines are the sizes of src and tests, as
 `find src -name '*.py' | xargs cat | wc -l` counts them.
 
 Not a test module (pytest does not collect it). From the repository root:
@@ -22,9 +23,16 @@ import os
 import tempfile
 from pathlib import Path
 
-from styleinpaint.cli import run
-from styleinpaint.dataset.io import dataset_read, write_ppm
-from test_acceptance import SMOKE
+# nsd.ckpt and summary.txt change with the BLAS thread count, so the recipes
+# run at the count their recorded prefixes were made with; numpy reads these
+# when it is first imported
+BLAS_THREADS = "2"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
+from styleinpaint.cli import run  # noqa: E402
+from styleinpaint.dataset.io import dataset_read, write_ppm  # noqa: E402
+from test_acceptance import SMOKE  # noqa: E402
 
 RECIPE_1 = ["dataset.count=6", "dataset.styles=3", "eval.count=6"]
 RECIPES = {
@@ -64,6 +72,7 @@ def artefact_prefixes(overrides: list[str]) -> list[str]:
 
 
 def main() -> None:
+    print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS} OMP_NUM_THREADS={BLAS_THREADS}")
     for number, overrides in RECIPES.items():
         print(f"recipe {number}: " + ", ".join(artefact_prefixes(overrides)))
     for name, root in (("src", SRC), ("tests", TESTS)):

@@ -487,6 +487,31 @@ class TestCheckpoint:
             err = capsys.readouterr().err
             assert err.startswith("data error:") and "'seed'" in err and str(ckpt) in err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("psrl.ckpt", "seed", "x"), ("psrl.ckpt", "p", 16.0), ("psrl.ckpt", "step", True),
+        ("nsd.ckpt", "seed", "x"), ("nsd.ckpt", "kind", 1), ("nsd.ckpt", "T", "10")])
+    def test_mistyped_echo_is_data_error(self, workspace, tmp_path, name, key, value, capsys):
+        # an echoed value of the wrong type is a data error naming the
+        # checkpoint and the key, in every command that reads it
+        out = tmp_path / "r"
+        out.mkdir()
+        for artefact in ("dataset.s3im", "psrl.ckpt", "nsd.ckpt"):
+            shutil.copy(f"{workspace}/{artefact}", out)
+        ckpt = str(out / name)
+        magic = PSRL_MAGIC if name == "psrl.ckpt" else NSDM_MAGIC
+        cfg, tensors = load_checkpoint(ckpt, magic)
+        cfg[key] = value
+        save_checkpoint(ckpt, magic, cfg, tensors)
+        resume = ["--resume", ckpt] + (PSRL if name == "psrl.ckpt" else NSD)
+        commands = {"psrl.ckpt": [["viz"], ["train-nsd"] + NSD, ["train-psrl"] + resume],
+                    "nsd.ckpt": [["eval"], ["train-nsd"] + resume]}[name]
+        if key == "step":  # only a resumed run reads the step count
+            commands = commands[-1:]
+        for command in commands:
+            assert run(command + ["--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and ckpt in err and f"'{key}'" in err
+
 
 class TestUsageErrors:
     def test_no_command(self):

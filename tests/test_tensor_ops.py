@@ -22,7 +22,9 @@ def randn64(rng, *shape):
 # column layout or its reshapes gives wrong values on at least one of them.
 # Stride-1 rows with Cout < Cin take the output-side (narrow) lowering, the
 # others the im2col one; the narrow_* rows also tell Cout from B and H from
-# W, so swapped tap offsets or axes of Y and Gs show too.
+# W, so swapped tap offsets or axes of Y and Gs show too. The batch_last_*
+# rows have a batch longer than an output row (B > Wo), so where x needs a
+# gradient their im2col columns and dX scatter run batch innermost.
 # Fields: B, Cin, Cout, H, W, kernel, stride, padding, pad_mode.
 CONV_LAYOUTS = {
     "non_square": (2, 2, 3, 7, 10, 3, 1, 1, "zeros"),
@@ -34,7 +36,17 @@ CONV_LAYOUTS = {
     "narrow_k3_zeros": (3, 5, 2, 6, 9, 3, 1, 1, "zeros"),
     "narrow_k3_edge": (2, 6, 3, 9, 5, 3, 1, 1, "edge"),
     "narrow_one_by_one": (3, 7, 4, 5, 8, 1, 1, 0, "zeros"),
+    "batch_last_zeros": (6, 2, 3, 4, 5, 3, 1, 1, "zeros"),
+    "batch_last_edge": (7, 3, 4, 6, 4, 3, 1, 1, "edge"),
+    "batch_last_stride2_zeros": (5, 2, 3, 7, 6, 3, 2, 1, "zeros"),
+    "batch_last_stride2_edge": (4, 3, 2, 8, 5, 3, 2, 1, "edge"),
+    "batch_last_unpadded": (5, 2, 3, 6, 5, 3, 1, 0, "zeros"),
 }
+
+# the style encoder's four convs at a PSRL batch of 128 patches and at 17,
+# above the 16 pixels of the widest output row, so every conv lowers batch
+# innermost. Fields: Cin, Cout, H (= W), stride.
+ENCODER_CONVS = [(3, 16, 16, 1), (16, 32, 16, 2), (32, 64, 8, 1), (64, 64, 8, 2)]
 
 
 # attention shapes of the model at width 64: B=4 self-attention at 1024 and
@@ -91,8 +103,10 @@ class TestForwardVsOracle:
 
     @pytest.mark.parametrize("name", sorted(CONV_LAYOUTS))
     def test_conv2d_layouts_match_loops(self, name):
+        # x needs a gradient, as between the style encoder's convs, so the
+        # batch_last_* rows build batch-innermost columns
         x, w, b, opts = conv_case(np.random.default_rng(7), name)
-        got = F.conv2d(Tensor(x), Tensor(w), Tensor(b), **opts).data
+        got = F.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), **opts).data
         want = oracles.conv2d_loops(x, w, b, **opts)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -341,6 +355,24 @@ class TestGradients:
             return (d * d).mean()
 
         gradcheck(f, [x, w], tol=1e-5)
+
+    @pytest.mark.parametrize("batch", [17, 128])
+    @pytest.mark.parametrize("cin, cout, size, stride", ENCODER_CONVS)
+    def test_conv2d_batch_last_bits(self, cin, cout, size, stride, batch):
+        # batch-innermost columns give the bits of the (b, yo, xo) ones in
+        # float32: the output, dW, db and dX
+        rng = np.random.default_rng(27)
+        xd = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
+        wd = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
+        bd = rng.standard_normal(cout).astype(np.float32)
+        side = (size - 1) // stride + 1
+        g = rng.standard_normal((batch, cout, side, side)).astype(np.float32)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = F.conv2d(x, w, b, stride=stride, padding=1, pad_mode="edge")
+        out._backward(g)
+        want = oracles.conv2d_bhw(xd, wd, bd, g, stride=stride, padding=1, pad_mode="edge")
+        for got, ref in zip((out.data, w.grad, b.grad, x.grad), want):
+            assert got.dtype == np.float32 and np.array_equal(got, ref)
 
     def test_narrow_conv2d_builds_no_columns(self):
         # a stride-1 conv with Cout < Cin never holds im2col columns
