@@ -20,6 +20,7 @@ from ..dataset.scenes import VOCAB
 from ..nn import ParameterSet, Tensor, concat, getitem, relu, reshape, upsample_nearest2x
 from ..nn import functional as F
 from ..psrl.model import he_conv, he_linear
+from ..rng import init_normal
 
 ATTN_DIM = 64  # single-head attention width, shared by every attention sublayer
 TIME_DIM = 128
@@ -43,14 +44,14 @@ class ConditioningBundle:
 
 def _xavier(rng, dout: int, din: int) -> np.ndarray:
     std = np.sqrt(1.0 / din)
-    return (rng.standard_normal((din, dout)) * std).astype(np.float32)
+    return init_normal(rng, (din, dout), std)
 
 
 def _unit_conv(rng, cout: int, cin: int, k: int) -> np.ndarray:
     """Gain-1 conv init: inputs here are not rectified, so He would double
     the variance at every stage and compound through the depth."""
     std = np.sqrt(1.0 / (cin * k * k))
-    return (rng.standard_normal((cout, cin, k, k)) * std).astype(np.float32)
+    return init_normal(rng, (cout, cin, k, k), std)
 
 
 def _zero_lin(dout: int, din: int) -> np.ndarray:
@@ -80,8 +81,7 @@ class SemanticEncoder:
     """Token embedding table plus one self-attention block over the caption."""
 
     def __init__(self, params: ParameterSet, rng):
-        scale = 1.0 / np.sqrt(ATTN_DIM)
-        table = (rng.standard_normal((len(VOCAB), ATTN_DIM)) * scale).astype(np.float32)
+        table = init_normal(rng, (len(VOCAB), ATTN_DIM), 1.0 / np.sqrt(ATTN_DIM))
         self.table = params.add("sem/table", Tensor(table))
         self.wq = params.add("sem/sa/wq", Tensor(_xavier(rng, ATTN_DIM, ATTN_DIM)))
         self.wk = params.add("sem/sa/wk", Tensor(_xavier(rng, ATTN_DIM, ATTN_DIM)))

@@ -26,10 +26,15 @@ either lowering, and w only if x does; an unpadded conv's dX needs x's
 memory layout, not its values. So NSD's phase B, which trains no weight of
 the denoiser, keeps none of the denoiser's conv inputs.
 
-scaled_dot_attention is one tape node that keeps only the softmax P of its
-scores, and gives the bits of the matmul/mul/softmax chain it replaces (that
-chain is kept as a test oracle, tests/oracles.py). Besides P it keeps q only
-if k needs a gradient, k only if q does, and v only if q or k does.
+scaled_dot_attention is one tape node that gives the bits of the
+matmul/mul/softmax chain it replaces (that chain is kept as a test oracle,
+tests/oracles.py). It works one batch slice at a time and keeps no
+[B, Lq, Lk] array. It keeps q and k if any operand needs a gradient, since
+backward recomputes each slice's softmax P_b from them, and v if q or k
+does. Recomputing the O(L^2) softmax from O(L*d) operands is what
+FlashAttention (arXiv:2205.14135) does: at 1024 tokens of width 64, P is 16
+times the size of q. The recompute runs the forward's code on the forward's
+operands, so P_b has the forward's bits.
 """
 
 from __future__ import annotations
@@ -241,47 +246,85 @@ def channel_mean_std(x: Tensor) -> tuple[Tensor, Tensor]:
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(d)) v over [B, L, d] operands of one batch size,
-    as one tape node.
+    as one tape node that works one batch slice at a time.
 
-    The forward pass turns the [B, Lq, Lk] scores into the softmax P in
-    place, and the node keeps P and no other array of that size. The
-    backward pass, with scale = 1/sqrt(d), is dv = P^T g, dP = g v^T,
-    dS = (dP - rowsum(dP * P)) * P * scale, dq = dS k, dk = (q^T dS)^T.
+    Forward computes each slice's softmax P_b in place in one [Lq, Lk]
+    buffer (the scores times scale = 1/sqrt(d), less their row max,
+    exponentiated, over their row sum) and writes P_b v_b into the output.
+    The node keeps q and k if any operand needs a gradient and v if q or k
+    does, and no [B, Lq, Lk] array: backward recomputes each P_b with the
+    same code and runs dv = P^T g, dP = g v^T, dS = (dP - rowsum(dP * P)) *
+    P * scale, dq = dS k and dk = (q^T dS)^T on that slice. Keeping P cost
+    16 MiB per B=4 self-attention at 1024 tokens, half of what an NSD
+    phase-B forward left on the tape; the recompute is one more score
+    product per slice, in buffers that stay in cache.
+
     Every step repeats the arithmetic of the composed
     transpose/matmul/mul/softmax/matmul chain, in its order and on the same
-    operand layouts, and v, q, k receive their gradients in that chain's
-    order, so outputs and gradients are bit-identical to it.
+    operand layouts. That chain's batched matmuls and row-wise steps treat
+    each batch slice on its own, so a slice gets the bits it gets in the
+    whole array, and backward's P_b is forward's. v, q and k receive their
+    gradients in the chain's order and memory layouts, so outputs and
+    gradients are bit-identical to it.
     """
     if k.shape[1] == 0:
         raise ValueError("attention over an empty key sequence")
-    p = q.data @ k.data.transpose(0, 2, 1)
-    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=p.dtype)
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = p @ v.data
+    (B, Lq, d), (Bk, Lk, dk), (Bv, Lv, dval) = q.shape, k.shape, v.shape
+    if not B == Bk == Bv:
+        raise ValueError(f"attention batch sizes differ: q {B}, k {Bk}, v {Bv}")
+    if d != dk:
+        raise ValueError(f"attention query width {d} differs from key width {dk}")
+    if Lk != Lv:
+        raise ValueError(f"attention has {Lk} keys but {Lv} values")
+    qd, kd, vd = q.data, k.data, v.data
+    dtype = np.result_type(qd, kd)
+    out_dtype = np.result_type(dtype, vd)
+    scale = np.asarray(1.0 / np.sqrt(d), dtype=dtype)
+
+    def softmax(b: int, p: np.ndarray) -> np.ndarray:
+        np.matmul(qd[b], kd[b].T, out=p)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    p = np.empty((Lq, Lk), dtype)
+    out_data = np.empty((B, Lq, dval), out_dtype)
+    for b in range(B):
+        np.matmul(softmax(b, p), vd[b], out=out_data[b])
     sq, sk, sv = _sink(q), _sink(k), _sink(v)
-    qd = q.data if sk is not None else None
-    kd = k.data if sq is not None else None
-    vd = v.data if sq is not None or sk is not None else None
+    if sq is None and sk is None:
+        vd = None
 
     def backward(g):
+        p = np.empty((Lq, Lk), dtype)
+        gs, gp = np.empty((Lq, Lk), out_dtype), np.empty((Lq, Lk), out_dtype)
+        grad_v = np.empty((B, Lk, dval), out_dtype) if sv is not None else None
+        grad_q = np.empty((B, Lq, d), out_dtype) if sq is not None else None
+        grad_kt = np.empty((B, d, Lk), out_dtype) if sk is not None else None
+        for b in range(B):
+            softmax(b, p)
+            if grad_v is not None:
+                np.matmul(p.T, g[b], out=grad_v[b])
+            if vd is None:
+                continue
+            np.matmul(g[b], vd[b].T, out=gs)
+            gs -= np.multiply(gs, p, out=gp).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            if grad_q is not None:
+                np.matmul(gs, kd[b], out=grad_q[b])
+            if grad_kt is not None:
+                np.matmul(qd[b].T, gs, out=grad_kt[b])
         if sv is not None:
-            _accum(sv, np.swapaxes(p, -1, -2) @ g)
-        if vd is None:
-            return
-        gs = g @ np.swapaxes(vd, -1, -2)
-        # rowsum(dP * P) one batch slice at a time: the product is a
-        # [Lq, Lk] temporary, not a second [B, Lq, Lk] one
-        for gs_i, p_i in zip(gs, p):
-            gs_i -= (gs_i * p_i).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
+            _accum(sv, grad_v, owned=True)
         if sq is not None:
-            _accum(sq, gs @ kd)
+            _accum(sq, grad_q, owned=True)
         if sk is not None:
-            _accum(sk, (np.swapaxes(qd, -1, -2) @ gs).transpose(0, 2, 1))
+            # copied, as the chain's transposed dk is: at B = 1 the copy's
+            # strides differ from the view's
+            _accum(sk, grad_kt.transpose(0, 2, 1))
 
     return _node(out_data, (q, k, v), backward)
 

@@ -17,7 +17,7 @@ from ..checkpoint import PSRL_MAGIC, load_checkpoint, restore
 from ..dataset.scenes import crop_patches, first_fit, window_counts
 from ..nn import ParameterSet, Tensor, concat, no_grad, relu
 from ..nn import functional as F
-from ..rng import NoDraws, derive
+from ..rng import NoDraws, derive, init_normal
 
 FEAT_DIM = 64
 EMBED_DIM = 64
@@ -32,12 +32,12 @@ class StyleFeature:
 
 def he_conv(rng, cout: int, cin: int, k: int) -> np.ndarray:
     std = np.sqrt(2.0 / (cin * k * k))
-    return (rng.standard_normal((cout, cin, k, k)) * std).astype(np.float32)
+    return init_normal(rng, (cout, cin, k, k), std)
 
 
 def he_linear(rng, dout: int, din: int) -> np.ndarray:
     std = np.sqrt(2.0 / din)
-    return (rng.standard_normal((dout, din)) * std).astype(np.float32)
+    return init_normal(rng, (dout, din), std)
 
 
 class StyleEncoder:

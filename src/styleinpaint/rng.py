@@ -26,7 +26,12 @@ def derive(seed: int, *scope: int | str) -> np.random.Generator:
 
 class NoDraws:
     """Stands in for a model's init generator when a checkpoint supplies
-    every parameter: it draws nothing, and its normal "samples" are zeros."""
+    every parameter: `init_normal` draws nothing from it."""
 
-    def standard_normal(self, shape) -> np.ndarray:
-        return np.zeros(shape)
+
+def init_normal(rng: np.random.Generator | NoDraws, shape: tuple, std: float) -> np.ndarray:
+    """float32 N(0, std^2) initial weights drawn from rng, or zeros, with no
+    arithmetic, from NoDraws."""
+    if isinstance(rng, NoDraws):
+        return np.zeros(shape, np.float32)
+    return (rng.standard_normal(shape) * std).astype(np.float32)

@@ -5,14 +5,15 @@
   embeddings.
 - `held_out_margin`: intra- vs inter-image cosine of a PSRL encoder's
   embeddings on held-out patches.
-- `tape_mib`: memory the autodiff tape holds after one NSD training forward.
+- `tape_mib`: memory the autodiff tape holds after one NSD training forward,
+  and the peak during its backward.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 import warnings
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,14 +155,20 @@ def held_out_margin(model: PSRLModel, samples: list[DatasetSample], n: int, p: i
     return intra, inter, e, labels
 
 
-def tape_mib(phase: str, seed: int = 0) -> float:
+class TapeMiB(NamedTuple):
+    held: float  # after the forward
+    backward_peak: float  # during backward(), above the pre-forward level
+
+
+def tape_mib(phase: str, seed: int = 0) -> TapeMiB:
     """MiB that tracemalloc sees held by the loss of one NSD
     `training_loss` forward, and the tape behind it, at the default batch
-    of 4 and 64x64 images. Every parameter is moved off its initialisation,
-    so no zero-initialised path is inert, and `phase` ("A" or "B") picks the
-    parameters that train and the inputs of that phase. Fresh processes
-    agree to within a few hundred bytes; one that has already run other
-    code may count some tens of KiB less or more."""
+    of 4 and 64x64 images, and the peak during that loss's `backward()`
+    above the level before the forward. Every parameter is moved off its
+    initialisation, so no zero-initialised path is inert, and `phase` ("A"
+    or "B") picks the parameters that train and the inputs of that phase.
+    Fresh processes agree to within a few hundred bytes; one that has
+    already run other code may count some tens of KiB less or more."""
     model = NSDModel(seed)
     rng = derive(seed, "tape-mib")
     for _, t in model.params.items():
@@ -183,6 +190,9 @@ def tape_mib(phase: str, seed: int = 0) -> float:
         loss = training_loss(model.denoiser, model.encoder, images, tokens, model.schedule,
                              t=t, eps=eps, **extra)
         held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    return held / 2 ** 20
+    return TapeMiB(held / 2 ** 20, peak / 2 ** 20)

@@ -6,10 +6,10 @@ is recipe 1 plus psrl.mode=contrastive_only, nsd.kind=linear and nsd.lam=0.5.
 A change that keeps the artefacts byte-identical prints the same prefixes
 before and after it. Each recipe runs in its own temporary directory. The
 first line is the BLAS thread setting, which the script fixes at 2 before
-numpy loads. Then come the MiB the autodiff tape holds after one phase-A
-and one phase-B `training_loss` forward (tests/measures.py::tape_mib), and
-last the sizes of src and tests, as
-`find src -name '*.py' | xargs cat | wc -l` counts them.
+numpy loads. Then come, for one phase-A and one phase-B `training_loss`
+forward, the MiB the autodiff tape holds after it and the peak during its
+backward (tests/measures.py::tape_mib), and last the sizes of src and tests,
+as `find src -name '*.py' | xargs cat | wc -l` counts them.
 
 Not a test module (pytest does not collect it). From the repository root:
 
@@ -78,8 +78,10 @@ def main() -> None:
     print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS} OMP_NUM_THREADS={BLAS_THREADS}")
     for number, overrides in RECIPES.items():
         print(f"recipe {number}: " + ", ".join(artefact_prefixes(overrides)))
-    print(f"tape MiB after a training_loss forward: phase A {tape_mib('A'):.1f}, "
-          f"phase B {tape_mib('B'):.1f}")
+    for phase in "AB":
+        mib = tape_mib(phase)
+        print(f"tape MiB, phase {phase}: {mib.held:.1f} held after a training_loss "
+              f"forward, {mib.backward_peak:.1f} peak during its backward")
     for name, root in (("src", SRC), ("tests", TESTS)):
         lines = sum(p.read_bytes().count(b"\n") for p in root.rglob("*.py"))
         print(f"{name} lines: {lines}")

@@ -529,10 +529,10 @@ class TestFusedAttention:
             grads.append(t.grad)
         assert np.array_equal(grads[0], grads[1])
 
-    def test_keeps_one_score_array(self):
-        # after the forward pass the node holds P for backward and no other
-        # [B, Lq, Lk] array; the chain held the raw scores, the scaled
-        # scores and P
+    def test_keeps_no_score_array(self):
+        # after the forward pass the node holds no [Lq, Lk] score slice, let
+        # alone a [B, Lq, Lk] array: backward recomputes each P_b from q and
+        # k; the chain held the raw scores, the scaled scores and P
         B, L, d = 2, 512, 64
         rng = np.random.default_rng(44)
         q, k, v = (Tensor(rng.standard_normal((B, L, d)).astype(np.float32),
@@ -544,7 +544,37 @@ class TestFusedAttention:
             kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
-        assert kept <= 1.1 * B * L * L * 4, f"kept {kept / (B * L * L * 4):.2f} score arrays"
+        assert kept < L * L * 4, f"kept {kept / (L * L * 4):.2f} score slices"
+
+    def test_backward_peak_is_a_few_slices(self):
+        # backward works on one [Lq, Lk] slice at a time (P_b, dS_b and the
+        # dP_b * P_b product), where a [B, Lq, Lk] dS alone is B slices
+        B, L, d = 8, 512, 16
+        rng = np.random.default_rng(45)
+        q, k, v = (Tensor(rng.standard_normal((B, L, d)).astype(np.float32),
+                          requires_grad=True) for _ in range(3))
+        g = Tensor(rng.standard_normal((B, L, d)).astype(np.float32))
+        loss = nn.tsum(F.scaled_dot_attention(q, k, v) * g)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        operands, slices = 8 * q.data.nbytes, 4 * L * L * 4
+        assert peak < slices + operands, \
+            f"peak {(peak - operands) / (L * L * 4):.2f} slices above the operands"
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((2, 5, 4), (1, 3, 4), (2, 3, 4)), "batch sizes differ"),
+        (((2, 5, 4), (2, 3, 4), (1, 3, 4)), "batch sizes differ"),
+        (((2, 5, 4), (2, 3, 6), (2, 3, 4)), "query width 4 differs from key width 6"),
+        (((2, 5, 4), (2, 3, 4), (2, 2, 4)), "3 keys but 2 values"),
+    ], ids=["k_batch", "v_batch", "key_width", "value_count"])
+    def test_mismatched_operands_raise(self, shapes, message):
+        q, k, v = (Tensor(np.ones(s, np.float32), requires_grad=True) for s in shapes)
+        with pytest.raises(ValueError, match=message):
+            F.scaled_dot_attention(q, k, v)
 
 
 def _activation(rng, shape):
@@ -582,8 +612,10 @@ TAPE_KEEPS = {
                       (2, 5, 3, 3), False, True),
     "conv2d_unpadded": (lambda x, w: F.conv2d(F.unflatten_tokens(x, 3, 2), w, padding=0),
                         (2, 6, 4), (4, 4, 1, 1), False, True),
-    "attention_q": (_attend_as("q"), (2, 5, 4), (2, 3, 4), False, True),
-    "attention_k": (_attend_as("k"), (2, 3, 4), (2, 3, 4), False, True),
+    # backward recomputes the softmax from q and k, so a trained q or k
+    # keeps both; v is kept only for dq and dk
+    "attention_q": (_attend_as("q"), (2, 5, 4), (2, 3, 4), True, True),
+    "attention_k": (_attend_as("k"), (2, 3, 4), (2, 3, 4), True, True),
     "attention_v": (_attend_as("v"), (2, 3, 4), (2, 3, 4), False, True),
     "relu": (lambda x, o: nn.relu(x), (3, 4), None, False, None),
     "sqrt": (lambda x, o: nn.sqrt(x), (3, 4), None, False, None),
