@@ -1,15 +1,35 @@
-"""Binary checkpoint container shared by the style and diffusion trainers.
+"""The binary container of the program's files: checkpoints and the dataset.
 
-Layout (little-endian): 8-byte magic, u32 JSON length + UTF-8 config echo
-with sorted keys, u32 tensor count, then per tensor: u16 path length + UTF-8
-path, u8 ndim, u32 per dim, float32 data. Tensors are written in sorted path
-order so identical state always produces identical bytes. Optimizer moments
-ride along under an "opt." path prefix, which makes resume exact.
+Layout (little-endian): 8-byte magic, u32 JSON length + UTF-8 JSON header
+with sorted keys, u32 array count, then per array: u16 name length + UTF-8
+name, u8 ndim, u32 per dim, float32 data. Arrays are written in sorted name
+order so identical content always produces identical bytes. A write goes
+through `<path>.tmp` and a rename, so one that fails part-way leaves any
+previous file at `path` whole.
+
+The magic says what a file holds:
+- `PSRL0001` and `NSDM0001`, a style-encoder or denoiser checkpoint. Its
+  header is the config echo: the trainer's echoed keys, `seed`, `step` and
+  `opt_step`. Its arrays are the parameters by path, and the Adam moments
+  under an "opt.m."/"opt.v." prefix, which makes resume exact.
+- `S3IMTOY2`, the dataset (`dataset/io.py` maps its samples to and from
+  the container). Its header's "samples" list holds each sample's
+  `mask_rect`, `tokens`, `style_id` and `render_seed`; its arrays are the
+  samples' [H, W, 3] pixels.
+
+Reading checks the file against itself before it trusts it, and each
+failure is a DataError naming the file: a foreign magic or another version
+of the same one, a header that is not a UTF-8 JSON object, an array name
+that is not UTF-8, any declared length (header, name, shape or data) larger
+than the bytes left in the file, and bytes after the last array. The
+length check comes before the read, so a small file cannot make the reader
+allocate more than the file's size.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -20,23 +40,26 @@ from .errors import DataError
 
 PSRL_MAGIC = b"PSRL0001"
 NSDM_MAGIC = b"NSDM0001"
+DATASET_MAGIC = b"S3IMTOY2"
 # the config prefix of the keys each kind of checkpoint echoes
 ECHO_PREFIX = {PSRL_MAGIC: "psrl.", NSDM_MAGIC: "nsd."}
+# per magic: what errors call the file and its header, and the command that writes it
+_KINDS = {PSRL_MAGIC: ("checkpoint", "config echo", "train-psrl"),
+          NSDM_MAGIC: ("checkpoint", "config echo", "train-nsd"),
+          DATASET_MAGIC: ("dataset", "header", "gen-dataset")}
 
 
-def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
-    """Write through `<path>.tmp` and rename it onto `path`, so a save that
-    fails or is killed part-way leaves any previous checkpoint there whole."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _write_container(path, magic: bytes, header: dict, arrays: dict) -> None:
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(magic)
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            f.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+            f.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
                 enc = name.encode("utf-8")
                 f.write(struct.pack("<H", len(enc)))
                 f.write(enc)
@@ -48,6 +71,67 @@ def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _read_container(path, magic: bytes, skip: str | None = None) -> tuple[dict, dict]:
+    """The header and the arrays by name of the container at `path`. Arrays
+    whose name starts with `skip` are seeked past, not read, and left out."""
+    kind, header_name, writer = _KINDS[magic]
+    with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+        got = f.read(len(magic))
+        left -= len(got)
+        if got != magic:
+            stem = magic.rstrip(b"0123456789")
+            if got.startswith(stem):
+                raise DataError(f"{kind} {path}: version mismatch, got {got!r}, "
+                                f"expected {magic!r}; re-run {writer}")
+            raise DataError(f"malformed {kind} header: {path} does not start with {magic!r}")
+
+        def claim(n: int, what: str) -> int:
+            nonlocal left
+            if n > left:
+                raise DataError(f"truncated {kind} {path}: {what} needs {n} bytes, "
+                                f"{left} left")
+            left -= n
+            return n
+
+        def unpack(fmt: str, what: str) -> tuple:
+            return struct.unpack(fmt, f.read(claim(struct.calcsize(fmt), what)))
+
+        (jlen,) = unpack("<I", "header length")
+        try:
+            header = json.loads(f.read(claim(jlen, header_name)).decode("utf-8"))
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
+            raise DataError(f"{kind} {path}: malformed {header_name}")
+        (count,) = unpack("<I", "array count")
+        arrays = {}
+        for _ in range(count):
+            (nlen,) = unpack("<H", "array name length")
+            raw = f.read(claim(nlen, "array name"))
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{kind} {path}: array name {raw!r} is not UTF-8") from None
+            (ndim,) = unpack("<B", f"array '{name}'")
+            shape = unpack(f"<{ndim}I", f"array '{name}' shape")
+            nbytes = claim(4 * math.prod(shape), f"array '{name}' data")
+            if skip is not None and name.startswith(skip):
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
+            arrays[name] = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape).copy()
+        if left:
+            raise DataError(f"{kind} {path}: {left} bytes after the last array")
+    return header, arrays
+
+
+def save_checkpoint(path, magic: bytes, config: dict, tensors: dict) -> None:
+    """Write `config` as the echo and `tensors` as the arrays, through a
+    temp file, so a save that fails or is killed part-way leaves any
+    previous checkpoint at `path` whole."""
+    _write_container(path, magic, config, tensors)
 
 
 class _Echo(dict):
@@ -81,44 +165,10 @@ class _Echo(dict):
 def load_checkpoint(path, magic: bytes, params_only: bool = False) -> tuple[dict, dict]:
     """The config echo and the tensors by path. With `params_only` the
     optimizer moments (the "opt." paths) are seeked past, not read, and
-    left out of the tensors. An echo that is not a JSON object, or a key
-    read from it that it lacks or that has a value of the wrong type, is a
-    DataError."""
-    with open(path, "rb") as f:
-        file_size = os.fstat(f.fileno()).st_size
-        got = f.read(len(magic))
-        if got != magic:
-            if got[:4] == magic[:4]:
-                raise DataError(f"checkpoint version mismatch: got {got!r}, expected {magic!r}")
-            raise DataError(f"malformed checkpoint header: expected magic {magic!r}")
-
-        def take(n):
-            buf = f.read(n)
-            if len(buf) != n:
-                raise DataError("truncated checkpoint")
-            return buf
-
-        (jlen,) = struct.unpack("<I", take(4))
-        try:
-            config = json.loads(take(jlen).decode("utf-8"))
-        except ValueError:
-            config = None
-        if not isinstance(config, dict):
-            raise DataError(f"checkpoint {path}: malformed config echo")
-        (count,) = struct.unpack("<I", take(4))
-        tensors = {}
-        for _ in range(count):
-            (plen,) = struct.unpack("<H", take(2))
-            name = take(plen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", take(1))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            if params_only and name.startswith("opt."):
-                if f.seek(4 * size, os.SEEK_CUR) > file_size:
-                    raise DataError("truncated checkpoint")
-                continue
-            data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
-            tensors[name] = data.copy()
+    left out of the tensors. A file the container's checks reject, or a key
+    read from the echo that it lacks or that has a value of the wrong type,
+    is a DataError."""
+    config, tensors = _read_container(path, magic, skip="opt." if params_only else None)
     return _Echo(path, config, ECHO_PREFIX[magic]), tensors
 
 

@@ -1,22 +1,24 @@
-"""On-disk formats: the dataset container and PPM image export.
+"""On-disk formats: the dataset file and PPM image export.
 
-Dataset layout (all little-endian): 8-byte magic "S3IMTOY1", u32 sample
-count, then per sample: u16 H, u16 W, H*W*3 float32 pixels, 4x u16 mask rect
-(x, y, w, h), u8 token count + that many u8 tokens, u16 style_id, u64 render
-seed. Fixed endianness keeps files platform-independent.
+The dataset is a `checkpoint.py` container under the magic `S3IMTOY2`. Its
+JSON header's "samples" list holds each sample's `mask_rect`, `tokens`,
+`style_id` and `render_seed`, and sample i's [H, W, 3] pixels are the array
+`pixels.<i>`. Reading checks each sample as strictly as a checkpoint's echo
+is checked: a field of the wrong type, a token outside `VOCAB`, a mask rect
+that does not fit its image, or pixels that are missing or not [H, W, 3] is
+a DataError naming the dataset and the sample.
 """
 
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..checkpoint import DATASET_MAGIC, _read_container, _write_container
 from ..errors import DataError
-
-MAGIC = b"S3IMTOY1"
+from .scenes import VOCAB, mask_from_rect
 
 
 @dataclass
@@ -28,55 +30,54 @@ class DatasetSample:
     render_seed: int
 
 
+def _ints(value) -> bool:
+    return type(value) is list and all(type(v) is int for v in value)
+
+
+# each sample field of the header: what its value must be, and the test of it
+_FIELDS = {"mask_rect": ("4 ints", lambda v: _ints(v) and len(v) == 4),
+           "tokens": ("a list of ints", _ints),
+           "style_id": ("an int", lambda v: type(v) is int),
+           "render_seed": ("an int", lambda v: type(v) is int)}
+
+
 def dataset_write(samples: list[DatasetSample], path) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(samples)))
-        for s in samples:
-            h, w = s.pixels.shape[:2]
-            f.write(struct.pack("<HH", h, w))
-            f.write(np.ascontiguousarray(s.pixels, dtype="<f4").tobytes())
-            f.write(struct.pack("<4H", *s.mask_rect))
-            f.write(struct.pack("<B", len(s.tokens)))
-            f.write(bytes(s.tokens))
-            f.write(struct.pack("<HQ", s.style_id, s.render_seed))
+    header = {"samples": [{"mask_rect": list(s.mask_rect), "tokens": list(s.tokens),
+                           "style_id": s.style_id, "render_seed": s.render_seed}
+                          for s in samples]}
+    _write_container(path, DATASET_MAGIC, header,
+                     {f"pixels.{i}": s.pixels for i, s in enumerate(samples)})
 
 
-class _Reader:
-    def __init__(self, f):
-        self.f = f
-
-    def take(self, n: int) -> bytes:
-        buf = self.f.read(n)
-        if len(buf) != n:
-            raise DataError("truncated payload")
-        return buf
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+def _sample(where: str, fields, pixels) -> DatasetSample:
+    if type(fields) is not dict:
+        raise DataError(f"{where} is {fields!r}, expected an object")
+    for key, (expected, ok) in _FIELDS.items():
+        if not ok(fields.get(key)):
+            raise DataError(f"{where} has '{key}' {fields.get(key)!r}, expected {expected}")
+    if pixels is None or pixels.ndim != 3 or pixels.shape[2] != 3:
+        got = "missing" if pixels is None else f"of shape {pixels.shape}"
+        raise DataError(f"{where}: pixels {got}, expected [H, W, 3]")
+    tokens = fields["tokens"]
+    if not all(0 <= t < len(VOCAB) for t in tokens):
+        raise DataError(f"{where}: tokens {tokens} outside the {len(VOCAB)}-word vocabulary")
+    rect = tuple(fields["mask_rect"])
+    try:
+        mask_from_rect(pixels, rect)
+    except ValueError as e:
+        raise DataError(f"{where}: {e}") from None
+    return DatasetSample(pixels, rect, tokens, fields["style_id"], fields["render_seed"])
 
 
 def dataset_read(path) -> list[DatasetSample]:
-    with open(path, "rb") as f:
-        r = _Reader(f)
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            if magic[:7] == MAGIC[:7]:
-                raise DataError(f"version mismatch: got {magic!r}, expected {MAGIC!r}")
-            raise DataError("malformed header")
-        (count,) = r.unpack("<I")
-        samples = []
-        for _ in range(count):
-            h, w = r.unpack("<HH")
-            pixels = np.frombuffer(r.take(h * w * 3 * 4), dtype="<f4").reshape(h, w, 3)
-            rect = r.unpack("<4H")
-            (n_tok,) = r.unpack("<B")
-            tokens = list(r.take(n_tok))
-            style_id, render_seed = r.unpack("<HQ")
-            samples.append(DatasetSample(pixels.copy(), rect, tokens, style_id, render_seed))
-        if f.read(1):
-            raise DataError("trailing bytes after declared sample count")
-    return samples
+    header, arrays = _read_container(path, DATASET_MAGIC)
+    samples = header.get("samples")
+    if type(samples) is not list:
+        raise DataError(f"dataset {path}: header has no sample list")
+    if len(arrays) != len(samples):
+        raise DataError(f"dataset {path}: {len(arrays)} arrays for {len(samples)} samples")
+    return [_sample(f"dataset {path}: sample {i}", fields, arrays.get(f"pixels.{i}"))
+            for i, fields in enumerate(samples)]
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:

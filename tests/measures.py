@@ -7,6 +7,7 @@
   embeddings on held-out patches.
 - `tape_mib`: memory the autodiff tape holds after one NSD training forward,
   and the peak during its backward.
+- `peak_mib`: the tracemalloc peak of one call, such as a read of a file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from styleinpaint.dataset.io import DatasetSample
 from styleinpaint.dataset.scenes import VOCAB, crop_patches
+from styleinpaint.errors import DataError
 from styleinpaint.diffusion.train import NSDModel, training_loss
 from styleinpaint.nn import Tensor, no_grad
 from styleinpaint.psrl.model import PSRLModel
@@ -196,3 +198,19 @@ def tape_mib(phase: str, seed: int = 0) -> TapeMiB:
     finally:
         tracemalloc.stop()
     return TapeMiB(held / 2 ** 20, peak / 2 ** 20)
+
+
+def peak_mib(fn: Callable, *args) -> tuple:
+    """`fn(*args)`'s result, or the DataError it raises, and the tracemalloc
+    peak in MiB above the level before the call, while it runs."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            result = fn(*args)
+        except DataError as e:
+            result = e
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2 ** 20

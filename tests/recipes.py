@@ -8,8 +8,9 @@ before and after it. Each recipe runs in its own temporary directory. The
 first line is the BLAS thread setting, which the script fixes at 2 before
 numpy loads. Then come, for one phase-A and one phase-B `training_loss`
 forward, the MiB the autodiff tape holds after it and the peak during its
-backward (tests/measures.py::tape_mib), and last the sizes of src and tests,
-as `find src -name '*.py' | xargs cat | wc -l` counts them.
+backward (tests/measures.py::tape_mib), and last the sizes of src and tests:
+all lines, as `find src -name '*.py' | xargs cat | wc -l` counts them, and
+code lines, which leave out docstrings, comments and blank lines.
 
 Not a test module (pytest does not collect it). From the repository root:
 
@@ -18,11 +19,13 @@ Not a test module (pytest does not collect it). From the repository root:
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
 import os
 import tempfile
+import tokenize
 from pathlib import Path
 
 # nsd.ckpt and summary.txt change with the BLAS thread count, so the recipes
@@ -47,6 +50,8 @@ SRC = TESTS.parent / "src"
 ARTEFACTS = ["dataset.s3im", "dataset.s3im.manifest.txt", "psrl.ckpt",
              "psrl_log.csv", "nsd.ckpt", "nsd_log.csv", "inpaint.ppm",
              "report.csv", "summary.txt", "projection.csv"]
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def artefact_prefixes(overrides: list[str]) -> list[str]:
@@ -74,6 +79,22 @@ def artefact_prefixes(overrides: list[str]) -> list[str]:
         return prefixes
 
 
+def code_lines(source: str) -> int:
+    """Lines that hold a token of code, other than a module, class or
+    function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
 def main() -> None:
     print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS} OMP_NUM_THREADS={BLAS_THREADS}")
     for number, overrides in RECIPES.items():
@@ -83,8 +104,10 @@ def main() -> None:
         print(f"tape MiB, phase {phase}: {mib.held:.1f} held after a training_loss "
               f"forward, {mib.backward_peak:.1f} peak during its backward")
     for name, root in (("src", SRC), ("tests", TESTS)):
-        lines = sum(p.read_bytes().count(b"\n") for p in root.rglob("*.py"))
-        print(f"{name} lines: {lines}")
+        files = list(root.rglob("*.py"))
+        lines = sum(p.read_bytes().count(b"\n") for p in files)
+        code = sum(code_lines(p.read_text(encoding="utf-8")) for p in files)
+        print(f"{name} lines: {lines}, code lines: {code}")
 
 
 if __name__ == "__main__":

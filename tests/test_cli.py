@@ -1,15 +1,18 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
+import dataclasses
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from measures import peak_mib
 from styleinpaint.checkpoint import NSDM_MAGIC, PSRL_MAGIC, load_checkpoint, save_checkpoint
 from styleinpaint.cli import run
 from styleinpaint.config import DEFAULTS, build_config, load_config_file
-from styleinpaint.dataset.io import dataset_read, read_ppm, write_ppm
+from styleinpaint.dataset.io import (DatasetSample, dataset_read, dataset_write,
+                                     read_ppm, write_ppm)
 from styleinpaint.errors import DataError, NumericsError, UsageError
 
 
@@ -242,6 +245,39 @@ class TestGenDataset:
         assert len(dataset_read(f"{out}/dataset.s3im")) == 2
 
 
+class TestDatasetFile:
+    def test_declared_gigabyte_is_refused_unread(self, tmp_path, capsys):
+        # one 1x1 sample whose pixels then declare [16384, 16384, 1] float32
+        out = tmp_path / "d"
+        out.mkdir()
+        one = DatasetSample(np.zeros((1, 1, 3), np.float32), (0, 0, 1, 1), [0], 0, 0)
+        dataset_write([one], out / "dataset.s3im")
+        blob = (out / "dataset.s3im").read_bytes()
+        (out / "dataset.s3im").write_bytes(
+            blob[:-24] + struct.pack("<3I", 16384, 16384, 1) + blob[-12:])
+        code, peak = peak_mib(run, ["train-psrl", "--out", str(out)] + PSRL)
+        assert code == 2 and peak < 1.0
+        assert capsys.readouterr().err.startswith("data error: truncated dataset")
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("tokens", [0, 11], "outside the 11-word vocabulary"),
+        ("mask_rect", (50, 50, 20, 20), "does not fit a 64x64 image")], ids=["token", "rect"])
+    def test_bad_sample_stops_train_nsd_before_its_log(self, workspace, tmp_path, field,
+                                                       value, says, capsys):
+        # checked when the dataset is read, not at the first step that
+        # uses the sample, which for a mask rect is after all of phase A
+        out = tmp_path / "r"
+        out.mkdir()
+        shutil.copy(f"{workspace}/psrl.ckpt", out)
+        samples = dataset_read(f"{workspace}/dataset.s3im")
+        samples[2] = dataclasses.replace(samples[2], **{field: value})
+        dataset_write(samples, out / "dataset.s3im")
+        assert run(["train-nsd", "--out", str(out)] + NSD) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "sample 2" in err and says in err
+        assert not (out / "nsd_log.csv").exists() and not (out / "nsd.ckpt").exists()
+
+
 class TestTraining:
     def test_psrl_artifacts(self, workspace):
         log = open(f"{workspace}/psrl_log.csv").read().splitlines()
@@ -446,6 +482,45 @@ class TestCheckpoint:
                         {"a": np.ones(3), "opt.m.a": np.ones(20)})
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(DataError, match="truncated checkpoint"):
+            load_checkpoint(path, PSRL_MAGIC, params_only=params_only)
+
+    @staticmethod
+    def _tiny(path) -> bytes:
+        # a PSRL checkpoint holding one float named 'a': its last 10 bytes
+        # are the name, the ndim, the one dim and the data
+        save_checkpoint(path, PSRL_MAGIC, {"seed": 0, "step": 0, "p": 16}, {"a": np.zeros(1)})
+        return path.read_bytes()
+
+    def test_declared_gigabyte_is_refused_unread(self, workspace, tmp_path, capsys):
+        # 'a' declares 2**28 floats, 1 GiB, in a 70-byte file: the reader
+        # refuses it before reading, in the library and in the CLI
+        path = tmp_path / "huge.ckpt"
+        blob = self._tiny(path)
+        path.write_bytes(blob[:-8] + struct.pack("<I", 2 ** 28) + blob[-4:])
+        for params_only in (False, True):
+            err, peak = peak_mib(load_checkpoint, path, PSRL_MAGIC, params_only)
+            assert isinstance(err, DataError) and "truncated checkpoint" in str(err)
+            assert peak < 1.0
+        code, peak = peak_mib(run, ["viz", "--out", workspace,
+                                    "--set", f"psrl.checkpoint={path}",
+                                    "--set", f"viz.file={tmp_path / 'v.csv'}"])
+        assert code == 2 and peak < 1.0
+        assert capsys.readouterr().err.startswith(f"data error: truncated checkpoint {path}")
+
+    def test_non_utf8_tensor_name_is_data_error(self, workspace, tmp_path, capsys):
+        path = tmp_path / "name.ckpt"
+        blob = self._tiny(path)
+        path.write_bytes(blob[:-10] + b"\xff" + blob[-9:])
+        assert run(["viz", "--out", workspace, "--set", f"psrl.checkpoint={path}",
+                    "--set", f"viz.file={tmp_path / 'v.csv'}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "not UTF-8" in err and str(path) in err
+
+    @pytest.mark.parametrize("params_only", [False, True])
+    def test_trailing_bytes_are_data_error(self, tmp_path, params_only):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(self._tiny(path) + b"\0\0")
+        with pytest.raises(DataError, match="2 bytes after the last array"):
             load_checkpoint(path, PSRL_MAGIC, params_only=params_only)
 
     @staticmethod

@@ -1,10 +1,14 @@
 """Texture dataset: styles, scenes, masks, patch placement, file round-trips."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 import oracles
+from measures import peak_mib
 from styleinpaint.dataset import (DatasetSample, MaskSpec, VOCAB, caption_of,
                                   crop_patches, dataset_read, dataset_write,
                                   generate_dataset, make_mask, mask_from_rect,
@@ -295,16 +299,23 @@ class TestDatasetIO:
         blob = bytearray(path.read_bytes())
         blob[0] = ord("X")
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="malformed header"):
+        with pytest.raises(DataError, match="malformed dataset header"):
             dataset_read(path)
 
     def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "v2.bin"
+        path = tmp_path / "v3.bin"
         dataset_write(self._samples(1), path)
         blob = bytearray(path.read_bytes())
-        blob[7] = ord("2")
+        blob[7] = ord("3")
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="version mismatch"):
+            dataset_read(path)
+
+    def test_first_version_asks_for_gen_dataset(self, tmp_path):
+        # S3IMTOY1, the layout before the shared container, holding no samples
+        path = tmp_path / "v1.bin"
+        path.write_bytes(b"S3IMTOY1" + struct.pack("<I", 0))
+        with pytest.raises(DataError, match="version mismatch.*re-run gen-dataset"):
             dataset_read(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -312,8 +323,44 @@ class TestDatasetIO:
         dataset_write(self._samples(2), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 100])
-        with pytest.raises(DataError, match="truncated payload"):
+        with pytest.raises(DataError, match="truncated dataset"):
             dataset_read(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.bin"
+        dataset_write(self._samples(1), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="1 bytes after the last array"):
+            dataset_read(path)
+
+    def test_declared_gigabyte_is_refused_unread(self, tmp_path):
+        # one 1x1 sample whose pixels then declare [16384, 16384, 1] float32,
+        # 1 GiB, in a file of a few hundred bytes
+        path = tmp_path / "huge.bin"
+        one = DatasetSample(np.zeros((1, 1, 3), np.float32), (0, 0, 1, 1), [0], 0, 0)
+        dataset_write([one], path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-24] + struct.pack("<3I", 16384, 16384, 1) + blob[-12:])
+        err, peak = peak_mib(dataset_read, path)
+        assert isinstance(err, DataError) and "truncated dataset" in str(err)
+        assert peak < 1.0
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("mask_rect", (1, 2, 3), "'mask_rect'"), ("mask_rect", (1.0, 2, 3, 4), "'mask_rect'"),
+        ("tokens", [True], "'tokens'"), ("tokens", [0, len(VOCAB)], "vocabulary"),
+        ("style_id", "3", "'style_id'"), ("render_seed", 1.5, "'render_seed'"),
+        ("mask_rect", (60, 0, 8, 8), "does not fit"),
+        ("pixels", np.zeros((64, 64), np.float32), "pixels")],
+        ids=["rect_of_3", "rect_float", "token_bool", "token_outside_vocab", "style_id_str",
+             "render_seed_float", "rect_outside_image", "pixels_2d"])
+    def test_bad_sample_field_is_data_error(self, tmp_path, field, value, says):
+        path = tmp_path / "d.bin"
+        samples = self._samples(2)
+        samples[1] = dataclasses.replace(samples[1], **{field: value})
+        dataset_write(samples, path)
+        with pytest.raises(DataError, match="sample 1") as err:
+            dataset_read(path)
+        assert says in str(err.value)
 
     def test_generation_deterministic_and_reproducible_from_seeds(self):
         a = generate_dataset(seed=5, count=4, n_styles=2)
