@@ -65,7 +65,7 @@ def _write_container(path, magic: bytes, header: dict, arrays: dict) -> None:
                 f.write(enc)
                 f.write(struct.pack("<B", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.tobytes())
+                f.write(arr)  # the array's own buffer, not a bytes copy
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,7 +121,10 @@ def _read_container(path, magic: bytes, skip: str | None = None) -> tuple[dict, 
             if skip is not None and name.startswith(skip):
                 f.seek(nbytes, os.SEEK_CUR)
                 continue
-            arrays[name] = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape).copy()
+            arr = np.empty(shape, dtype="<f4")
+            if f.readinto(arr) != nbytes:
+                raise DataError(f"truncated {kind} {path}: array '{name}' data ends early")
+            arrays[name] = arr
         if left:
             raise DataError(f"{kind} {path}: {left} bytes after the last array")
     return header, arrays

@@ -5,8 +5,8 @@ from __future__ import annotations
 from ..rng import derive
 from .io import DatasetSample, dataset_read, dataset_write, read_ppm, write_ppm
 from .scenes import (MaskSpec, PatchSet, SceneImage, VOCAB, caption_of,
-                     crop_patches, make_mask, mask_from_rect, pattern_field,
-                     place_disjoint, render_scene, valid_topleft)
+                     crop_patches, make_mask, mask_from_rect, place_disjoint,
+                     render_scene, valid_topleft)
 from .styles import FAMILIES, StyleParams, style_from_id
 
 
@@ -19,11 +19,12 @@ def generate_dataset(seed: int, count: int, n_styles: int, size: int = 64,
     """
     style_rng = derive(seed, "dataset-styles")
     style_ids = style_rng.permutation(65536)[:n_styles]
+    styles = [style_from_id(int(s)) for s in style_ids[:count]]
 
     def build(i: int) -> DatasetSample:
         srng = derive(seed, "scene", i)
         render_seed = int(srng.integers(0, 2 ** 63))
-        style = style_from_id(int(style_ids[i % n_styles]))
+        style = styles[i % n_styles]
         scene = render_scene(style, render_seed, size=size)
         fraction = float(derive(render_seed, "mask-fraction").uniform(mask_lo, mask_hi))
         mask = make_mask(scene, fraction, render_seed)

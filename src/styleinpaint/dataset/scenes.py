@@ -3,6 +3,12 @@
 A scene is a 64x64 image whose regions (background plus 1-3 shapes) are all
 filled with the same style's pattern, each region at its own phase offset.
 Semantics (shapes) vary within a scene; style does not.
+
+`render_scene` draws from the scene's layout generator in a fixed order: the
+shape count, each shape's kind and geometry, then one phase pair per region,
+hidden regions included. It evaluates the pattern in one pass over one pixel
+grid, each pixel at its region's phase, which per pixel is the arithmetic of
+filling each region separately (tests/oracles.py keeps that renderer).
 """
 
 from __future__ import annotations
@@ -45,25 +51,19 @@ class MaskSpec:
     rect: tuple  # (x, y, w, h) with x = column, y = row
 
 
-def pattern_field(style: StyleParams, phase: tuple[float, float], h: int, w: int) -> np.ndarray:
-    """Evaluate the style's pattern over an h x w canvas at a phase offset."""
-    yy, xx = np.mgrid[0:h, 0:w]
-    u = xx / h
-    v = yy / h
+def _pattern(style: StyleParams, u: np.ndarray, v: np.ndarray, px: np.ndarray,
+             py: np.ndarray) -> np.ndarray:
+    """The style's pattern at canvas coordinates (u, v), each pixel at its
+    own phase (px, py); every argument is an [H, W] float64 array."""
     ct, st = np.cos(style.orientation), np.sin(style.orientation)
-    ur = u * ct + v * st
-    vr = -u * st + v * ct
     f = style.frequency
-    px, py = phase
-    a = ur * f + px
-    b = vr * f + py
+    a = (u * ct + v * st) * f + px
+    b = (-u * st + v * ct) * f + py
     pal = style.palette
     if style.family == "stripes":
         idx = np.floor(a * 3).astype(np.int64) % 3
-        out = pal[idx]
     elif style.family == "checker":
         idx = (np.floor(a).astype(np.int64) + np.floor(b).astype(np.int64)) % 3
-        out = pal[idx]
     elif style.family == "dots":
         ia = np.floor(a).astype(np.int64)
         ib = np.floor(b).astype(np.int64)
@@ -71,7 +71,6 @@ def pattern_field(style: StyleParams, phase: tuple[float, float], h: int, w: int
         fb = b - ib
         inside = (fa - 0.5) ** 2 + (fb - 0.5) ** 2 < 0.33 ** 2
         idx = np.where(inside, 1 + (ia + ib) % 2, 0)
-        out = pal[idx]
     elif style.family == "value-noise":
         lat = noise_lattice(style.style_id)
         L = lat.shape[0]
@@ -82,26 +81,25 @@ def pattern_field(style: StyleParams, phase: tuple[float, float], h: int, w: int
         # smoothstep-weighted bilinear blend on the periodic lattice
         sa = fa * fa * (3 - 2 * fa)
         sb = fb * fb * (3 - 2 * fb)
-        g00 = lat[ib % L, ia % L]
-        g01 = lat[ib % L, (ia + 1) % L]
-        g10 = lat[(ib + 1) % L, ia % L]
-        g11 = lat[(ib + 1) % L, (ia + 1) % L]
-        n = (g00 * (1 - sa) + g01 * sa) * (1 - sb) + (g10 * (1 - sa) + g11 * sa) * sb
+        a0, a1, b0, b1 = ia % L, (ia + 1) % L, ib % L, (ib + 1) % L
+        n = (lat[b0, a0] * (1 - sa) + lat[b0, a1] * sa) * (1 - sb) + \
+            (lat[b1, a0] * (1 - sa) + lat[b1, a1] * sa) * sb
         # piecewise-linear ramp through the three palette colors
         lo = np.clip(n * 2.0, 0.0, 1.0)[..., None]
         hi = np.clip(n * 2.0 - 1.0, 0.0, 1.0)[..., None]
-        out = np.where(n[..., None] < 0.5,
-                       pal[0] * (1 - lo) + pal[1] * lo,
-                       pal[1] * (1 - hi) + pal[2] * hi)
+        return np.where(n[..., None] < 0.5,
+                        pal[0] * (1 - lo) + pal[1] * lo,
+                        pal[1] * (1 - hi) + pal[2] * hi).astype(np.float32)
     else:
         raise ValueError(f"unknown pattern family '{style.family}'")
-    return out.astype(np.float32)
+    return pal.astype(np.float32)[idx]
 
 
-def _paint_shape(region_map: np.ndarray, kind: str, rng: np.random.Generator,
-                 region_id: int) -> dict:
+def _paint_shape(region_map: np.ndarray, yy: np.ndarray, xx: np.ndarray, kind: str,
+                 rng: np.random.Generator, region_id: int) -> dict:
+    """Draw a shape of `kind` from rng and give the pixels it covers on the
+    (yy, xx) grid `region_id`; returns its description."""
     h, w = region_map.shape
-    yy, xx = np.mgrid[0:h, 0:w]
     if kind == "disc":
         cx = rng.uniform(0.25 * w, 0.75 * w)
         cy = rng.uniform(0.25 * h, 0.75 * h)
@@ -136,21 +134,27 @@ def _paint_shape(region_map: np.ndarray, kind: str, rng: np.random.Generator,
 
 
 def render_scene(style: StyleParams, layout_seed: int, size: int = 64) -> SceneImage:
-    """Compose background + shapes, every region filled with the same style."""
+    """Compose background + shapes, every region filled with the same style.
+
+    The layout generator draws the shape count, then each shape's kind and
+    geometry in painting order (a later shape covers an earlier one), then
+    one phase pair uniform(0, 1, 2) per region, background first, also for
+    a region that later shapes hide completely. The pattern is evaluated
+    once, over the pixel grid the shapes were painted on, each pixel at its
+    region's phase: per pixel that is the arithmetic of filling each region
+    on its own, so the bytes are the same too.
+    """
     rng = derive(layout_seed, "layout")
     h = w = size
+    yy, xx = np.mgrid[0:h, 0:w]
     region_map = np.zeros((h, w), dtype=np.int8)
     layout = {0: {"shape": "background"}}
     n_shapes = int(rng.integers(1, 4))
     for rid in range(1, n_shapes + 1):
         kind = SHAPES[int(rng.integers(0, len(SHAPES)))]
-        layout[rid] = _paint_shape(region_map, kind, rng, rid)
-    pixels = np.zeros((h, w, 3), dtype=np.float32)
-    for rid in range(n_shapes + 1):
-        phase = tuple(rng.uniform(0.0, 1.0, 2))
-        sel = region_map == rid
-        if sel.any():
-            pixels[sel] = pattern_field(style, phase, h, w)[sel]
+        layout[rid] = _paint_shape(region_map, yy, xx, kind, rng, rid)
+    phases = np.stack([rng.uniform(0.0, 1.0, 2) for _ in range(n_shapes + 1)])
+    pixels = _pattern(style, xx / h, yy / h, phases[region_map, 0], phases[region_map, 1])
     scene = SceneImage(pixels, style, layout, [])
     scene.caption_tokens = caption_of(scene)
     return scene

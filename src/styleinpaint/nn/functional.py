@@ -34,7 +34,8 @@ backward recomputes each slice's softmax P_b from them, and v if q or k
 does. Recomputing the O(L^2) softmax from O(L*d) operands is what
 FlashAttention (arXiv:2205.14135) does: at 1024 tokens of width 64, P is 16
 times the size of q. The recompute runs the forward's code on the forward's
-operands, so P_b has the forward's bits.
+operands, with the row max and row sum forward kept, so P_b has the
+forward's bits.
 """
 
 from __future__ import annotations
@@ -257,7 +258,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     P * scale, dq = dS k and dk = (q^T dS)^T on that slice. Keeping P cost
     16 MiB per B=4 self-attention at 1024 tokens, half of what an NSD
     phase-B forward left on the tape; the recompute is one more score
-    product per slice, in buffers that stay in cache.
+    product per slice, in buffers that stay in cache. It skips the two row
+    reductions: a node on the tape keeps forward's row max and row sum as
+    [B, Lq, 1] arrays (32 KiB at B=4 and 1024 tokens), which are exactly
+    the values the recompute would find.
 
     Every step repeats the arithmetic of the composed
     transpose/matmul/mul/softmax/matmul chain, in its order and on the same
@@ -281,18 +285,28 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     out_dtype = np.result_type(dtype, vd)
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dtype)
 
-    def softmax(b: int, p: np.ndarray) -> np.ndarray:
+    def softmax(b: int, p: np.ndarray, m=None, s=None) -> tuple:
+        """P_b into p; returns its [Lq, 1] row max and row sum, found here
+        or, given, used as they are."""
         np.matmul(qd[b], kd[b].T, out=p)
         p *= scale
-        p -= p.max(axis=-1, keepdims=True)
+        m = p.max(axis=-1, keepdims=True) if m is None else m
+        p -= m
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
+        s = p.sum(axis=-1, keepdims=True) if s is None else s
+        p /= s
+        return m, s
 
+    on_tape = T._grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    if on_tape:
+        row_max, row_sum = np.empty((B, Lq, 1), dtype), np.empty((B, Lq, 1), dtype)
     p = np.empty((Lq, Lk), dtype)
     out_data = np.empty((B, Lq, dval), out_dtype)
     for b in range(B):
-        np.matmul(softmax(b, p), vd[b], out=out_data[b])
+        m, s = softmax(b, p)
+        np.matmul(p, vd[b], out=out_data[b])
+        if on_tape:
+            row_max[b], row_sum[b] = m, s
     sq, sk, sv = _sink(q), _sink(k), _sink(v)
     if sq is None and sk is None:
         vd = None
@@ -304,7 +318,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         grad_q = np.empty((B, Lq, d), out_dtype) if sq is not None else None
         grad_kt = np.empty((B, d, Lk), out_dtype) if sk is not None else None
         for b in range(B):
-            softmax(b, p)
+            softmax(b, p, row_max[b], row_sum[b])
             if grad_v is not None:
                 np.matmul(p.T, g[b], out=grad_v[b])
             if vd is None:

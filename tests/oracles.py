@@ -10,7 +10,9 @@ softmax and scaled_dot_attention_tape, the chain whose bits the fused
 attention node must reproduce. pad2d is a node over the padding conv2d runs,
 so its gradient can be checked on its own, and the single-pair losses
 stats_loss and contrastive_loss are what the batched PSRL losses are
-checked against.
+checked against. render_scene_by_region is the scene renderer as it was
+before it became one pass: it evaluates the pattern over the whole canvas
+once per region, at that region's phase, and keeps that region's pixels.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import math
 
 import numpy as np
 
+from styleinpaint.dataset.scenes import SHAPES, SceneImage, _paint_shape, caption_of
+from styleinpaint.dataset.styles import noise_lattice
 from styleinpaint.nn import (Tensor, add, concat, div, logsumexp, matmul, mul,
                              reshape, sub, tsum)
 from styleinpaint.nn import tensor as T
 from styleinpaint.nn.tensor import _accum, _as_tensor, _node
 from styleinpaint.psrl.losses import _safe_norm
 from styleinpaint.psrl.model import StyleFeature
+from styleinpaint.rng import derive
 
 
 def conv2d_loops(x, w, b=None, stride=1, padding=1, pad_mode="zeros"):
@@ -382,3 +387,79 @@ def least_masked_windows_loop(allowed, shape, k, p):
     for i in range(k - len(picked)):
         picked.append((int(rows[i % len(rows)]), int(cols[i % len(cols)])))
     return picked
+
+
+def pattern_field(style, phase: tuple[float, float], h: int, w: int) -> np.ndarray:
+    """Evaluate the style's pattern over an h x w canvas at a phase offset."""
+    yy, xx = np.mgrid[0:h, 0:w]
+    u = xx / h
+    v = yy / h
+    ct, st = np.cos(style.orientation), np.sin(style.orientation)
+    ur = u * ct + v * st
+    vr = -u * st + v * ct
+    f = style.frequency
+    px, py = phase
+    a = ur * f + px
+    b = vr * f + py
+    pal = style.palette
+    if style.family == "stripes":
+        idx = np.floor(a * 3).astype(np.int64) % 3
+        out = pal[idx]
+    elif style.family == "checker":
+        idx = (np.floor(a).astype(np.int64) + np.floor(b).astype(np.int64)) % 3
+        out = pal[idx]
+    elif style.family == "dots":
+        ia = np.floor(a).astype(np.int64)
+        ib = np.floor(b).astype(np.int64)
+        fa = a - ia
+        fb = b - ib
+        inside = (fa - 0.5) ** 2 + (fb - 0.5) ** 2 < 0.33 ** 2
+        idx = np.where(inside, 1 + (ia + ib) % 2, 0)
+        out = pal[idx]
+    elif style.family == "value-noise":
+        lat = noise_lattice(style.style_id)
+        L = lat.shape[0]
+        ia = np.floor(a).astype(np.int64)
+        ib = np.floor(b).astype(np.int64)
+        fa = a - ia
+        fb = b - ib
+        # smoothstep-weighted bilinear blend on the periodic lattice
+        sa = fa * fa * (3 - 2 * fa)
+        sb = fb * fb * (3 - 2 * fb)
+        g00 = lat[ib % L, ia % L]
+        g01 = lat[ib % L, (ia + 1) % L]
+        g10 = lat[(ib + 1) % L, ia % L]
+        g11 = lat[(ib + 1) % L, (ia + 1) % L]
+        n = (g00 * (1 - sa) + g01 * sa) * (1 - sb) + (g10 * (1 - sa) + g11 * sa) * sb
+        # piecewise-linear ramp through the three palette colors
+        lo = np.clip(n * 2.0, 0.0, 1.0)[..., None]
+        hi = np.clip(n * 2.0 - 1.0, 0.0, 1.0)[..., None]
+        out = np.where(n[..., None] < 0.5,
+                       pal[0] * (1 - lo) + pal[1] * lo,
+                       pal[1] * (1 - hi) + pal[2] * hi)
+    else:
+        raise ValueError(f"unknown pattern family '{style.family}'")
+    return out.astype(np.float32)
+
+
+def render_scene_by_region(style, layout_seed: int, size: int = 64) -> tuple:
+    """render_scene with one full-canvas pattern_field per region; returns
+    the scene and its [size, size] map of region ids."""
+    rng = derive(layout_seed, "layout")
+    h = w = size
+    yy, xx = np.mgrid[0:h, 0:w]
+    region_map = np.zeros((h, w), dtype=np.int8)
+    layout = {0: {"shape": "background"}}
+    n_shapes = int(rng.integers(1, 4))
+    for rid in range(1, n_shapes + 1):
+        kind = SHAPES[int(rng.integers(0, len(SHAPES)))]
+        layout[rid] = _paint_shape(region_map, yy, xx, kind, rng, rid)
+    pixels = np.zeros((h, w, 3), dtype=np.float32)
+    for rid in range(n_shapes + 1):
+        phase = tuple(rng.uniform(0.0, 1.0, 2))
+        sel = region_map == rid
+        if sel.any():
+            pixels[sel] = pattern_field(style, phase, h, w)[sel]
+    scene = SceneImage(pixels, style, layout, [])
+    scene.caption_tokens = caption_of(scene)
+    return scene, region_map

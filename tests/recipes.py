@@ -8,7 +8,9 @@ before and after it. Each recipe runs in its own temporary directory. The
 first line is the BLAS thread setting, which the script fixes at 2 before
 numpy loads. Then come, for one phase-A and one phase-B `training_loss`
 forward, the MiB the autodiff tape holds after it and the peak during its
-backward (tests/measures.py::tape_mib), and last the sizes of src and tests:
+backward (tests/measures.py::tape_mib), each measured in a fresh process
+with the same BLAS setting, so that nothing the recipes or the other phase
+left allocated moves the figure, and last the sizes of src and tests:
 all lines, as `find src -name '*.py' | xargs cat | wc -l` counts them, and
 code lines, which leave out docstrings, comments and blank lines.
 
@@ -24,6 +26,8 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import tokenize
 from pathlib import Path
@@ -95,14 +99,18 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    if argv[:1] == ["--tape-mib"]:  # one phase's line, in a process of its own
+        mib = tape_mib(argv[1])
+        print(f"tape MiB, phase {argv[1]}: {mib.held:.1f} held after a training_loss "
+              f"forward, {mib.backward_peak:.1f} peak during its backward")
+        return
     print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS} OMP_NUM_THREADS={BLAS_THREADS}")
     for number, overrides in RECIPES.items():
         print(f"recipe {number}: " + ", ".join(artefact_prefixes(overrides)))
     for phase in "AB":
-        mib = tape_mib(phase)
-        print(f"tape MiB, phase {phase}: {mib.held:.1f} held after a training_loss "
-              f"forward, {mib.backward_peak:.1f} peak during its backward")
+        print(subprocess.run([sys.executable, __file__, "--tape-mib", phase], check=True,
+                             capture_output=True, text=True).stdout, end="")
     for name, root in (("src", SRC), ("tests", TESTS)):
         files = list(root.rglob("*.py"))
         lines = sum(p.read_bytes().count(b"\n") for p in files)
@@ -111,4 +119,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
 import dataclasses
+import os
 import shutil
 import struct
 
@@ -515,6 +516,17 @@ class TestCheckpoint:
                     "--set", f"viz.file={tmp_path / 'v.csv'}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "not UTF-8" in err and str(path) in err
+
+    def test_file_that_shrinks_while_read_is_data_error(self, tmp_path, monkeypatch):
+        # the size is taken once, before the reads; an array whose data then
+        # ends early is read into its buffer short, not returned part-filled
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, PSRL_MAGIC, {"step": 1}, {"a": np.ones(3), "b": np.ones(20)})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-4])
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(DataError, match="truncated checkpoint .*'b' data ends early"):
+            load_checkpoint(path, PSRL_MAGIC)
 
     @pytest.mark.parametrize("params_only", [False, True])
     def test_trailing_bytes_are_data_error(self, tmp_path, params_only):

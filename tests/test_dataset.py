@@ -15,7 +15,7 @@ from styleinpaint.dataset import (DatasetSample, MaskSpec, VOCAB, caption_of,
                                   place_disjoint, read_ppm, render_scene,
                                   style_from_id, valid_topleft, write_ppm)
 from styleinpaint.dataset.scenes import first_fit
-from styleinpaint.dataset.styles import N_STYLE_IDS
+from styleinpaint.dataset.styles import FAMILIES, N_STYLE_IDS
 from styleinpaint.errors import DataError
 from styleinpaint.rng import derive
 
@@ -118,6 +118,28 @@ class TestScenes:
             assert VOCAB[toks[0]] in ("disc", "rect", "triangle")
             assert VOCAB[toks[1]] in ("red", "green", "blue", "gray")
             assert VOCAB[toks[2]] in ("stripes", "checker", "dots", "noise")
+
+    # layout seed 144 paints a second shape over all of the first one
+    ORACLE_SEEDS = [*range(40), 144]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_pass_matches_per_region_oracle(self, family):
+        # the one-pass render gives each pixel its region's phase; per pixel
+        # that is the arithmetic of rendering each region on its own
+        counts, hidden = set(), 0
+        for seed in self.ORACLE_SEEDS:
+            style = style_from_id(4 * seed + FAMILIES.index(family))
+            for size in (32, 64):
+                scene = render_scene(style, seed, size)
+                ref, region_map = oracles.render_scene_by_region(style, seed, size)
+                np.testing.assert_array_equal(scene.pixels, ref.pixels)
+                assert scene.pixels.tobytes() == ref.pixels.tobytes()
+                assert scene.region_layout == ref.region_layout
+                assert scene.caption_tokens == ref.caption_tokens
+                counts.add((len(ref.region_layout) - 1, size))
+                hidden += len(np.unique(region_map)) < len(ref.region_layout)
+        assert counts == {(n, size) for n in (1, 2, 3) for size in (32, 64)}
+        assert hidden, "no seed has a shape that a later one hides"
 
 
 class TestMasks:
